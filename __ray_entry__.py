@@ -458,7 +458,7 @@ def _media_pipeline(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    """Driver surface: EXACTLY 50 entries so the driver's 50-slot
+    """Driver surface: EXACTLY 37 entries, so the driver's 50-slot
     correctness sample covers every family every round (VERDICT r4
     missing #1). full_queries() carries the complete registry."""
     from bern_ray.pipelines.relational import DRIVER_EXCLUDE, REGISTRY

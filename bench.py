@@ -72,9 +72,6 @@ def run_bench() -> dict:
     )
     from bern_ray.pipelines.relational import (
         _query_vectors,
-        q_events_agg,
-        q_lineitem_pricing,
-        q_approx_quantiles,
         q_contamination,
         q_dedup_clusters,
         q_duplicated_spans,
@@ -87,8 +84,6 @@ def run_bench() -> dict:
         q_tfidf_cosine_pairs,
         q_passage_dedup,
         q_pii_redact,
-        q_returned_revenue,
-        q_rollup_events,
         q_repetition_stats,
         q_sorted_neighbors,
         q_tfidf_top_terms,
@@ -96,10 +91,6 @@ def run_bench() -> dict:
         q_suffix_blocking,
         q_adaptive_snm,
         q_bm25_topk,
-        q_zorder_layout,
-        q_attribution,
-        q_item_similarity,
-        q_retention_cohorts,
     )
     from bern_ray.functions.wordpiece import wordpiece_features
     from bern_ray.sources.pages import read_pages
@@ -235,8 +226,6 @@ def run_bench() -> dict:
             read_parquet_clean(f"{SF_DIR}/documents.parquet"),
             threshold=0.85, posting_cap=DEFAULT_BAND_CAP).count()),
         ("token_freq", lambda: q_token_freq(SF_DIR).count()),
-        ("events_agg", lambda: q_events_agg(SF_DIR).count()),
-        ("lineitem_pricing", lambda: q_lineitem_pricing(SF_DIR).count()),
         ("repetition_stats", lambda: q_repetition_stats(SF_DIR).count()),
         ("sorted_neighbors", lambda: q_sorted_neighbors(SF_DIR).count()),
         ("passage_dedup", lambda: q_passage_dedup(SF_DIR).count()),
@@ -246,9 +235,6 @@ def run_bench() -> dict:
         ("dedup_clusters", lambda: q_dedup_clusters(SF_DIR).count()),
         ("duplicated_spans", lambda: q_duplicated_spans(SF_DIR).count()),
         ("fuzzy_join_names", lambda: q_fuzzy_join_names(SF_DIR).count()),
-        ("returned_revenue", lambda: q_returned_revenue(SF_DIR).count()),
-        ("rollup_events", lambda: q_rollup_events(SF_DIR).count()),
-        ("approx_quantiles", lambda: q_approx_quantiles(SF_DIR).count()),
         ("meta_blocking_wnp", lambda: q_meta_blocking_wnp(SF_DIR).count()),
         ("consensus_neardup", lambda: q_consensus_neardup(SF_DIR).count()),
         ("ari_dedup_eval", lambda: q_ari_dedup_eval(SF_DIR).count()),
@@ -266,11 +252,6 @@ def run_bench() -> dict:
         ("suffix_blocking", lambda: q_suffix_blocking(SF_DIR).count()),
         ("adaptive_snm", lambda: q_adaptive_snm(SF_DIR).count()),
         ("bm25_topk", lambda: q_bm25_topk(SF_DIR).num_rows),
-        ("zorder_layout", lambda: q_zorder_layout(SF_DIR).count()),
-        ("attribution", lambda: q_attribution(SF_DIR).count()),
-        ("item_similarity", lambda: q_item_similarity(SF_DIR).count()),
-        ("retention_cohorts",
-         lambda: q_retention_cohorts(SF_DIR).count()),
         ("wordpiece_features", lambda: wordpiece_features(
             read_parquet_clean(
                 f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]

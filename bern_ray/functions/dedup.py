@@ -398,6 +398,7 @@ def verify_setsim_pairs(
     sim: str = "jaccard",
     score_col: str | None = None,
     shingles_b: "ray.data.Dataset | None" = None,
+    min_overlap: int = 0,
 ) -> "ray.data.Dataset":
     """Exact set-similarity verification of candidate (doc_id_a,
     doc_id_b) pairs: both docs' shingle sets attach via two
@@ -408,7 +409,8 @@ def verify_setsim_pairs(
     minhash_neardup and the setsim_neardup family; `sim` picks the
     measure (jaccard/cosine/dice) from _SETSIM_MEASURES. For R-S
     joins `shingles_b` supplies the b-side's sets (defaults to the
-    self-join case: both sides read `shingles`)."""
+    self-join case: both sides read `shingles`). A pair is kept when
+    score >= `threshold` and |A∩B| >= `min_overlap`."""
     from ..stages.join import bucket_join
 
     score_fn = _SETSIM_MEASURES[sim]["score"]
@@ -461,7 +463,7 @@ def verify_setsim_pairs(
             inter[i] = len(np.intersect1d(sa, sb, assume_unique=True))
             na[i], nb[i] = len(sa), len(sb)
         score = score_fn(inter.astype(float), na, nb)
-        keep = score >= threshold
+        keep = (score >= threshold) & (inter >= min_overlap)
         out_score = (
             pa.array(
                 score[keep].astype(np.int64), type=pa.int64()
@@ -2052,6 +2054,7 @@ def setsim_containment_join(
         threshold,
         sim="containment",
         score_col="containment",
+        min_overlap=min_overlap,
     )
 
 

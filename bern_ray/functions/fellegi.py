@@ -21,9 +21,8 @@ Scale shape (the part that matters at 100 TB):
      fuzzy-join family uses (bucket_join on a block key) — no driver
      pair inventory;
   2. each scoring batch collapses IMMEDIATELY to a bincount over the
-     2^k patterns (a fixed-size mergeable partial, exactly like the
-     sketch family in functions/sketch.py) — the shuffle moves at most
-     2^k rows per batch regardless of corpus size;
+     2^k patterns (a fixed-size mergeable partial) — the shuffle
+     moves at most 2^k rows per batch regardless of corpus size;
   3. EM runs driver-side on the final 2^k-row table: O(2^k * iters)
      floating-point work, INDEPENDENT of corpus size. This is the same
      design Splink uses against billion-row backends.

@@ -1,9 +1,7 @@
-"""Distributed cardinality sketch: HyperLogLog distinct counting.
+"""Mergeable sketches: HyperLogLog, Misra-Gries, KLL, Bloom, Count-Min.
 
-The scale path for COUNT(DISTINCT key) GROUP BY group when the key
-cardinality is too large to shuffle distinct pairs (the exact
-counterpart lives in pipelines/relational.py q_distinct_users, which
-buckets on hash(key) so per-bucket distinct is globally exact). The
+HyperLogLog is the scale path for COUNT(DISTINCT key) GROUP BY group
+when the key cardinality is too large to shuffle distinct pairs. The
 sketch never ships keys at all: each batch folds its keys into m
 one-byte registers PER GROUP, the shuffle moves only
 ``groups x m`` bytes, and register merge is an elementwise max —
@@ -33,8 +31,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-# shuffle-prep bundling (see stages/bucketed.py PREP_BATCH rationale)
-PREP_BATCH = 65536
+from ..stages.bucketed import PREP_BATCH
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -324,9 +321,9 @@ def kll_quantiles(
     per batch, never the data — and the final merge re-compacts the
     concatenated partials in one driver-sized task (n_batches x 2k
     rows; re-compaction keeps it O(k) even at 10^6 batches because
-    compaction is associative over weighted multisets). The exact
-    counterpart is pipelines/relational.py q_value_quantiles; this is
-    the sketch that replaces it when a global sort is off the table.
+    compaction is associative over weighted multisets). This is
+    the sketch that replaces an exact sort-based quantile when a
+    global sort is off the table.
 
     Returns one row per q: (q, value).
     """
@@ -551,27 +548,3 @@ def cm_join_size(
     B = cm_build(ds_b, key_b, width=width)
     return int(min(int((A[d] * B[d]).sum()) for d in range(CM_DEPTH)))
 
-
-def cm_topk_estimates(
-    ds: "ray.data.Dataset",
-    key: str,
-    candidates: list[str],
-    width: int = 1 << 14,
-) -> "ray.data.Dataset":
-    """Estimated frequencies for a candidate key list via one
-    Count-Min pass — the companion to mg_heavy_hitters (MG finds the
-    candidates, CM re-estimates them without a second data shuffle).
-    Returns (key, est_count) rows."""
-    import ray as _ray
-    import ray.data as _rd
-
-    cm = cm_build(ds, key, width=width)
-    est = cm_estimate(cm, candidates, width=width)
-    return _rd.from_arrow(
-        pa.table(
-            {
-                "key": pa.array(candidates, type=pa.string()),
-                "est_count": pa.array(est, type=pa.int64()),
-            }
-        )
-    )

@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Sum
 
 from ..core.fold import fold_sql, fold_text, tmchem_key, tmchem_sql
 from ..functions import dedup as fdedup
@@ -175,11 +175,11 @@ BIGRAM_MIN = 20
 
 
 def q_token_bigrams(sf_dir: str):
-    """Corpus bigram counts — the n-gram LM building block (and the
-    text twin of event_transitions): adjacent token pairs WITHIN a
-    document, map-side partial counts per batch (one shifted compare
-    over the exploded token stream, parent-id breaks stop cross-doc
-    pairs), one groupby, support threshold shared with the oracle."""
+    """Corpus bigram counts — the n-gram LM building block: adjacent
+    token pairs WITHIN a document, map-side partial counts per batch
+    (one shifted compare over the exploded token stream, parent-id
+    breaks stop cross-doc pairs), one groupby, support threshold
+    shared with the oracle."""
     from ..functions.textstats import _explode_tokens
 
     def partial(t: pa.Table) -> pa.Table:
@@ -573,6 +573,9 @@ WHERE rk <= {CHI2_TOPN}
 """
 
 
+JSD_BUCKETS = 64
+
+
 def q_jsd_sources(sf_dir: str):
     """Per-source Jensen-Shannon divergence between the source's token
     distribution and the rest of the corpus — the distribution-drift
@@ -582,17 +585,26 @@ def q_jsd_sources(sf_dir: str):
     hash(token) shuffle; inside a token's bucket the term's count per
     source and its corpus total are both local, the tiny per-source
     totals ride in broadcast, and each bucket emits one partial JSD
-    sum per source — the final groupby is #sources rows. Absent
-    (source, token) cells still contribute to the rest-side KL term,
-    so the bucket kernel expands each token over the full broadcast
-    source list (vocab x #sources rows, inside the bucket only).
+    sum per source, tagged with its bucket id. Absent (source, token)
+    cells still contribute to the rest-side KL term, so the bucket
+    kernel expands each token over the full broadcast source list
+    (vocab x #sources rows, inside the bucket only).
 
     The contribution formula mirrors the oracle token-for-token
-    (p*ln(p/m) with m the mixture mean) so both sides round alike; the
-    per-source sum is O(vocab) float additions whose associativity
-    error sits ~9 orders below the shared round-6 rule."""
+    (p*ln(p/m) with m the mixture mean) so both sides round alike.
+    The #buckets x #sources partials are summed on the driver in
+    bucket order, so the unrounded score does not depend on block
+    layout or shuffle arrival order."""
+    t = _jsd_by_source(_docs(sf_dir))
+    return pa.table(
+        {"source": t["source"], "jsd": pc.round(t["jsd"], ndigits=6)}
+    )
+
+
+def _jsd_by_source(docs: "ray.data.Dataset") -> pa.Table:
+    """(source, unrounded jsd) — the body of q_jsd_sources."""
     from ..functions.textstats import _explode_tokens
-    from ..stages.bucketed import bucketed_apply
+    from ..stages.bucketed import bucketed_apply, key_buckets
 
     def st_partial(t: pa.Table) -> pa.Table:
         parent, toks = _explode_tokens(t["text"])
@@ -609,11 +621,9 @@ def q_jsd_sources(sf_dir: str):
             g, preserve_index=False
         ).replace_schema_metadata(None)
 
-    partials = (
-        _docs(sf_dir)
-        .map_batches(st_partial, batch_format="pyarrow")
-        .materialize()
-    )
+    partials = docs.map_batches(
+        st_partial, batch_format="pyarrow"
+    ).materialize()
 
     stot = partials.groupby("source").sum("partial").to_pandas()
     sources = sorted(stot["source"])
@@ -632,6 +642,7 @@ def q_jsd_sources(sf_dir: str):
         if not len(df):
             return pa.table(
                 {
+                    "bucket": pa.array([], type=pa.int64()),
                     "source": pa.array([], type=pa.string()),
                     "jsd_partial": pa.array([], type=pa.float64()),
                 }
@@ -652,26 +663,37 @@ def q_jsd_sources(sf_dir: str):
             lp = np.where(p > 0.0, 0.5 * p * np.log(p / m), 0.0)
             lq = np.where(q > 0.0, 0.5 * q * np.log(q / m), 0.0)
         contrib = (lp + lq).sum(axis=0)
+        bucket = key_buckets(t["token"].slice(0, 1), JSD_BUCKETS)[0]
         return pa.table(
             {
+                "bucket": pa.array(
+                    np.full(len(sources), bucket), type=pa.int64()
+                ),
                 "source": pa.array(sources, type=pa.string()),
                 "jsd_partial": pa.array(contrib, type=pa.float64()),
             }
         )
 
-    agg = (
-        bucketed_apply(partials, "token", jsd_bucket)
-        .groupby("source")
-        .sum("jsd_partial")
+    parts = (
+        bucketed_apply(
+            partials, "token", jsd_bucket, num_buckets=JSD_BUCKETS
+        )
+        .to_pandas()
+        .sort_values(["bucket", "source"])
     )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "source": t["source"],
-                "jsd": pc.round(t["sum(jsd_partial)"], ndigits=6),
-            }
-        ),
-        batch_format="pyarrow",
+    jsd = (
+        parts["jsd_partial"]
+        .to_numpy()
+        .reshape(-1, len(sources))
+        .sum(axis=0)
+        if len(parts)
+        else np.zeros(len(sources))
+    )
+    return pa.table(
+        {
+            "source": pa.array(sources, type=pa.string()),
+            "jsd": pa.array(jsd, type=pa.float64()),
+        }
     )
 
 
@@ -713,140 +735,6 @@ contrib AS (
 )
 SELECT source, round(sum(c), 6) AS jsd
 FROM contrib GROUP BY source
-"""
-
-
-ZORDER_BITS = 16
-ZORDER_TILES = 64
-
-
-def q_zorder_layout(sf_dir: str):
-    """Z-order (Morton-curve) file layout for two-column data
-    skipping: interleave the low 16 bits of (l_partkey, l_suppkey),
-    range-partition the curve into equal-count tiles, and report each
-    tile's row count and per-column min/max envelope — the layout
-    planner a lakehouse runs so that BOTH columns' zone maps prune
-    (a single-column sort gives one tight envelope; the Z-curve
-    bounds both). Output is O(#tiles).
-
-    Execution: zval is a vectorized numpy bit-interleave per batch;
-    the total order (zval, l_orderkey, l_linenumber) is packed into
-    one int64 (32+28+3 bits — exact to sf ~40) and ranked by
-    stages/order.py global_rank (sampled range partition, one
-    shuffle, O(#buckets) driver offsets); tile = the NTILE closed
-    form from the 0-based rank, so Ray and the oracle's
-    ntile() OVER (ORDER BY ...) agree row-for-row; envelopes are
-    per-batch partial min/max folded by one tiny groupby."""
-    from ..stages.order import global_rank
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet",
-        columns=[
-            "l_orderkey",
-            "l_linenumber",
-            "l_partkey",
-            "l_suppkey",
-        ],
-    )
-    n_total = li.count()
-    q, m = divmod(n_total, ZORDER_TILES)
-    mask = (1 << ZORDER_BITS) - 1
-
-    def pack(t: pa.Table) -> pa.Table:
-        p = t["l_partkey"].to_numpy(zero_copy_only=False) & mask
-        s = t["l_suppkey"].to_numpy(zero_copy_only=False) & mask
-        z = np.zeros(len(p), dtype=np.int64)
-        for i in range(ZORDER_BITS):
-            z |= ((p >> i) & 1) << (2 * i)
-            z |= ((s >> i) & 1) << (2 * i + 1)
-        rowid = (
-            t["l_orderkey"].to_numpy(zero_copy_only=False) << 3
-        ) | t["l_linenumber"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "zkey": pa.array((z << 31) | rowid, type=pa.int64()),
-                "l_partkey": t["l_partkey"],
-                "l_suppkey": t["l_suppkey"],
-            }
-        )
-
-    ranked = global_rank(
-        li.map_batches(pack, batch_format="pyarrow"), "zkey"
-    )
-
-    def per_batch(t: pa.Table) -> pa.Table:
-        r = t["rank"].to_numpy(zero_copy_only=False) - 1  # 0-based
-        cut = m * (q + 1)
-        tile = np.where(r < cut, r // (q + 1), m + (r - cut) // max(q, 1))
-        df = pd.DataFrame(
-            {
-                "tile": tile,
-                "p": t["l_partkey"].to_numpy(zero_copy_only=False),
-                "s": t["l_suppkey"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("tile", as_index=False).agg(
-            n=("p", "size"),
-            p_lo=("p", "min"),
-            p_hi=("p", "max"),
-            s_lo=("s", "min"),
-            s_hi=("s", "max"),
-        )
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    agg = (
-        ranked.map_batches(per_batch, batch_format="pyarrow")
-        .groupby("tile")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Min("p_lo", alias_name="p_lo"),
-            Max("p_hi", alias_name="p_hi"),
-            Min("s_lo", alias_name="s_lo"),
-            Max("s_hi", alias_name="s_hi"),
-        )
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "tile": pc.cast(t["tile"], pa.int64()),
-                "n": pc.cast(t["n"], pa.int64()),
-                "p_lo": pc.cast(t["p_lo"], pa.int64()),
-                "p_hi": pc.cast(t["p_hi"], pa.int64()),
-                "s_lo": pc.cast(t["s_lo"], pa.int64()),
-                "s_hi": pc.cast(t["s_hi"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def _sql_zorder() -> str:
-    terms = " + ".join(
-        f"((((l_partkey & {(1 << ZORDER_BITS) - 1}) >> {i}) & 1)"
-        f" << {2 * i})"
-        f" + ((((l_suppkey & {(1 << ZORDER_BITS) - 1}) >> {i}) & 1)"
-        f" << {2 * i + 1})"
-        for i in range(ZORDER_BITS)
-    )
-    return f"""
-WITH z AS (
-  SELECT l_orderkey, l_linenumber, l_partkey, l_suppkey,
-         ({terms})::BIGINT AS zval
-  FROM lineitem
-),
-t AS (
-  SELECT l_partkey, l_suppkey,
-         ntile({ZORDER_TILES}) OVER (
-           ORDER BY zval, l_orderkey, l_linenumber
-         ) - 1 AS tile
-  FROM z
-)
-SELECT tile::BIGINT AS tile, count(*)::BIGINT AS n,
-       min(l_partkey)::BIGINT AS p_lo, max(l_partkey)::BIGINT AS p_hi,
-       min(l_suppkey)::BIGINT AS s_lo, max(l_suppkey)::BIGINT AS s_hi
-FROM t GROUP BY tile
 """
 
 
@@ -969,910 +857,6 @@ FROM cuts c
 """
 
 
-def q_skyline_parts(sf_dir: str):
-    """2-D skyline (Pareto frontier) of parts maximizing
-    (p_retailprice, p_size): a part survives iff no other part is >=
-    in both dimensions and > in at least one — the classic
-    multi-criteria shortlist operator (Borzsony-Kossmann-Stocker
-    2001). Distribution rests on the skyline identity
-    skyline(∪ blocks) = skyline(∪ skyline(block)): each batch emits
-    its LOCAL frontier via one descending lexsort + running-max sweep
-    (no pairwise loop), and only those few survivors reach the final
-    driver sweep — on 2-D data the frontier is ~O(log n) points, so
-    the merge input is #batches x small."""
-
-    def local_skyline(t: pa.Table) -> pa.Table:
-        price = t["p_retailprice"].to_numpy()
-        size = t["p_size"].to_numpy(zero_copy_only=False)
-        key = t["p_partkey"].to_numpy(zero_copy_only=False)
-        keep = _skyline_mask(price, size)
-        return pa.table(
-            {
-                "p_partkey": pa.array(key[keep], type=pa.int64()),
-                "p_retailprice": pa.array(
-                    price[keep], type=pa.float64()
-                ),
-                "p_size": pa.array(size[keep], type=pa.int64()),
-            }
-        )
-
-    cand = (
-        read_parquet_clean(
-            f"{sf_dir}/part.parquet",
-            columns=["p_partkey", "p_retailprice", "p_size"],
-        )
-        .map_batches(local_skyline, batch_format="pyarrow")
-        .to_pandas()
-    )
-    keep = _skyline_mask(
-        cand["p_retailprice"].to_numpy(), cand["p_size"].to_numpy()
-    )
-    out = cand[keep].sort_values("p_partkey").reset_index(drop=True)
-    return pa.Table.from_pandas(
-        out, preserve_index=False
-    ).replace_schema_metadata(None)
-
-
-def _skyline_mask(price: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Non-dominated mask for maximize-(price, size): sort by
-    (price desc, size desc); a point is dominated iff some point
-    strictly before it in (price, size) lexicographic order has
-    size >= its size AND differs in at least one dim — equivalently,
-    the running max of size over all STRICTLY higher-price points
-    reaches its size, or an equal-(price,size) twin... twins dominate
-    nobody, so only the strict-price prefix matters."""
-    n = len(price)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.lexsort((-size, -price))
-    p_s, s_s = price[order], size[order]
-    # running max of size over the strictly-higher-price prefix
-    grp_start = np.flatnonzero(
-        np.concatenate(([True], p_s[1:] != p_s[:-1]))
-    )
-    # best size among earlier price groups, per element
-    group_id = np.cumsum(
-        np.concatenate(([0], (p_s[1:] != p_s[:-1]).astype(np.int64)))
-    )
-    group_max = np.full(group_id[-1] + 1, -np.inf)
-    np.maximum.at(group_max, group_id, s_s)
-    prefix_best = np.full(len(group_max), -np.inf)
-    if len(group_max) > 1:
-        prefix_best[1:] = np.maximum.accumulate(group_max)[:-1]
-    dominated = prefix_best[group_id] >= s_s
-    # within an equal-price group, a larger size dominates a smaller
-    in_group_best = s_s[grp_start][group_id]
-    dominated |= in_group_best > s_s
-    keep_sorted = ~dominated
-    keep = np.zeros(n, dtype=bool)
-    keep[order] = keep_sorted
-    return keep
-
-
-SQL_SKYLINE_PARTS = """
-SELECT p_partkey, p_retailprice, p_size
-FROM part a
-WHERE NOT EXISTS (
-  SELECT 1 FROM part b
-  WHERE b.p_retailprice >= a.p_retailprice
-    AND b.p_size >= a.p_size
-    AND (b.p_retailprice > a.p_retailprice OR b.p_size > a.p_size)
-)
-"""
-
-
-def q_ri_violations(sf_dir: str):
-    """Referential-integrity orphan census — the data-quality check a
-    warehouse runs after every load: for each FK relation, how many
-    child rows (and distinct keys) point at a parent that is not
-    there. Parents are deterministically thinned (the CDC-family
-    partial-load rule) so the census is non-trivial:
-    orders.o_custkey -> customer minus custkey ≡3 (mod 10), and
-    lineitem.l_orderkey -> orders minus orderkey ≡2 (mod 7).
-
-    Shape per relation: map-side value_counts partials reduce the
-    child to (key, cnt) — the shuffle ships one row per DISTINCT key,
-    not per child row; a left bucket_join against the thinned parent
-    key set marks orphans in-bucket; per-batch scalar partials
-    (rows / orphan rows / orphan keys) are all that reach the driver.
-    Output is O(#relations)."""
-    from ..stages.join import bucket_join
-
-    def census(child, child_key, parent, parent_key, relation):
-        def cnt_partial(t: pa.Table) -> pa.Table:
-            vc = pc.value_counts(t[child_key].combine_chunks())
-            return pa.table(
-                {
-                    "k": pc.cast(vc.field("values"), pa.int64()),
-                    "cnt": pc.cast(vc.field("counts"), pa.int64()),
-                }
-            )
-
-        def parent_keys(t: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "pk": pc.cast(t[parent_key], pa.int64()),
-                    "present": pa.array(
-                        np.ones(t.num_rows, dtype=np.int64)
-                    ),
-                }
-            )
-
-        # fold partials to ONE row per distinct child key before the
-        # join, so the orphan-key count is exact (not per-batch)
-        child_counts = (
-            child.map_batches(cnt_partial, batch_format="pyarrow")
-            .groupby("k")
-            .sum("cnt")
-            .map_batches(
-                lambda t: pa.table(
-                    {
-                        "k": t["k"],
-                        "cnt": pc.cast(t["sum(cnt)"], pa.int64()),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        joined = bucket_join(
-            child_counts,
-            parent.map_batches(parent_keys, batch_format="pyarrow"),
-            left_on="k",
-            right_on="pk",
-            left_schema={"k": pa.int64(), "cnt": pa.int64()},
-            right_schema={"pk": pa.int64(), "present": pa.int64()},
-            how="left",
-        )
-
-        def partial(t: pa.Table) -> pa.Table:
-            cnt = t["cnt"].to_numpy(zero_copy_only=False)
-            orphan = pc.is_null(t["present"]).to_numpy(
-                zero_copy_only=False
-            )
-            return pa.table(
-                {
-                    "relation": pa.array([relation], type=pa.string()),
-                    "n_child": pa.array(
-                        [int(cnt.sum())], type=pa.int64()
-                    ),
-                    "n_orphan_rows": pa.array(
-                        [int(cnt[orphan].sum())], type=pa.int64()
-                    ),
-                    "n_orphan_keys": pa.array(
-                        [int(orphan.sum())], type=pa.int64()
-                    ),
-                }
-            )
-
-        return joined.map_batches(partial, batch_format="pyarrow")
-
-    customer = read_parquet_clean(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey"]
-    ).map_batches(
-        lambda t: t.filter(
-            pc.not_equal(
-                pc.subtract(
-                    t["c_custkey"],
-                    pc.multiply(
-                        pc.divide(t["c_custkey"], 10), 10
-                    ),
-                ),
-                3,
-            )
-        ),
-        batch_format="pyarrow",
-    )
-    orders_child = read_parquet_clean(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey"]
-    )
-    orders_parent = read_parquet_clean(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey"]
-    ).map_batches(
-        lambda t: t.filter(
-            pc.not_equal(
-                pc.subtract(
-                    t["o_orderkey"],
-                    pc.multiply(pc.divide(t["o_orderkey"], 7), 7),
-                ),
-                2,
-            )
-        ),
-        batch_format="pyarrow",
-    )
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"]
-    )
-
-    parts = census(
-        orders_child, "o_custkey", customer, "c_custkey",
-        "orders->customer",
-    ).union(
-        census(li, "l_orderkey", orders_parent, "o_orderkey",
-               "lineitem->orders")
-    )
-    agg = parts.groupby("relation").aggregate(
-        Sum("n_child", alias_name="n_child"),
-        Sum("n_orphan_rows", alias_name="n_orphan_rows"),
-        Sum("n_orphan_keys", alias_name="n_orphan_keys"),
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "relation": t["relation"],
-                "n_child": pc.cast(t["n_child"], pa.int64()),
-                "n_orphan_rows": pc.cast(
-                    t["n_orphan_rows"], pa.int64()
-                ),
-                "n_orphan_keys": pc.cast(
-                    t["n_orphan_keys"], pa.int64()
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_RI_VIOLATIONS = """
-WITH cust AS (
-  SELECT c_custkey FROM customer WHERE c_custkey % 10 != 3
-),
-ord AS (
-  SELECT o_orderkey FROM orders WHERE o_orderkey % 7 != 2
-),
-r1 AS (
-  SELECT 'orders->customer' AS relation,
-         count(*)::BIGINT AS n_child,
-         sum(CASE WHEN c.c_custkey IS NULL THEN 1 ELSE 0 END)
-           ::BIGINT AS n_orphan_rows,
-         count(DISTINCT CASE WHEN c.c_custkey IS NULL
-                             THEN o.o_custkey END)
-           ::BIGINT AS n_orphan_keys
-  FROM orders o LEFT JOIN cust c ON c.c_custkey = o.o_custkey
-),
-r2 AS (
-  SELECT 'lineitem->orders' AS relation,
-         count(*)::BIGINT AS n_child,
-         sum(CASE WHEN p.o_orderkey IS NULL THEN 1 ELSE 0 END)
-           ::BIGINT AS n_orphan_rows,
-         count(DISTINCT CASE WHEN p.o_orderkey IS NULL
-                             THEN l.l_orderkey END)
-           ::BIGINT AS n_orphan_keys
-  FROM lineitem l LEFT JOIN ord p ON p.o_orderkey = l.l_orderkey
-)
-SELECT * FROM r1 UNION ALL SELECT * FROM r2
-"""
-
-
-COMPACT_SHARD_DOCS = 50
-COMPACT_TARGET_BYTES = 5_000
-
-
-def q_compaction_plan(sf_dir: str):
-    """Small-file compaction plan — the maintenance job every
-    partitioned lake needs: fold the write-time shards
-    (source, doc_id // 50) into target-sized output files by packing
-    shards in deterministic (source, shard) order until the running
-    byte total crosses the target. Output is one row per planned
-    output file: shard span, file count and total bytes.
-
-    Shape: shard sizes are map-side partial sums folded by one
-    groupby — the only corpus-sized work; the plan itself runs over
-    the O(#shards) inventory (shards are write-granularity facts, not
-    rows), where bin = exclusive-cumsum // target, an exact integer
-    rule shared with the oracle's window cumsum."""
-    docs = read_parquet_clean(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "source", "n_chars"],
-    )
-
-    def shard_partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "source": t["source"].to_numpy(zero_copy_only=False),
-                "shard": t["doc_id"].to_numpy(zero_copy_only=False)
-                // COMPACT_SHARD_DOCS,
-                "partial": t["n_chars"].to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby(["source", "shard"], as_index=False)[
-            "partial"
-        ].sum()
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    shards = (
-        docs.map_batches(shard_partial, batch_format="pyarrow")
-        .groupby(["source", "shard"])
-        .sum("partial")
-        .to_pandas()
-        .rename(columns={"sum(partial)": "bytes"})
-        .sort_values(["source", "shard"], kind="mergesort")
-        .reset_index(drop=True)
-    )
-    csum = shards["bytes"].cumsum() - shards["bytes"]
-    shards["bin"] = (csum // COMPACT_TARGET_BYTES).astype(np.int64)
-    g = shards.groupby("bin", as_index=False).agg(
-        n_files=("bytes", "size"),
-        total_bytes=("bytes", "sum"),
-        first_source=("source", "first"),
-        first_shard=("shard", "first"),
-        last_source=("source", "last"),
-        last_shard=("shard", "last"),
-    )
-    g["n_files"] = g["n_files"].astype(np.int64)
-    return pa.Table.from_pandas(
-        g, preserve_index=False
-    ).replace_schema_metadata(None)
-
-
-SQL_COMPACTION_PLAN = f"""
-WITH shards AS (
-  SELECT source, doc_id // {COMPACT_SHARD_DOCS} AS shard,
-         sum(n_chars)::BIGINT AS bytes
-  FROM documents GROUP BY source, shard
-),
-planned AS (
-  SELECT source, shard, bytes,
-         row_number() OVER (ORDER BY source, shard) AS rn,
-         (sum(bytes) OVER (
-            ORDER BY source, shard
-            ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
-          ) // {COMPACT_TARGET_BYTES}) AS bin
-  FROM shards
-)
-SELECT coalesce(bin, 0)::BIGINT AS bin,
-       count(*)::BIGINT AS n_files,
-       sum(bytes)::BIGINT AS total_bytes,
-       min_by(source, rn) AS first_source,
-       min_by(shard, rn)::BIGINT AS first_shard,
-       max_by(source, rn) AS last_source,
-       max_by(shard, rn)::BIGINT AS last_shard
-FROM planned
-GROUP BY coalesce(bin, 0)
-"""
-
-
-LPA_ROUNDS = 4
-
-
-def q_part_communities(sf_dir: str):
-    """Label-propagation communities of the part co-purchase graph
-    (functions/graph.py label_propagation): synchronous LPA with the
-    deterministic (count desc, label asc) adoption rule and a fixed
-    round count shared verbatim with the recursive-CTE oracle —
-    completing the graph-analytics family (pagerank / k-core /
-    triangles / CC) with a community detector whose semantics differ
-    from connectivity (dense neighborhoods absorb their periphery)."""
-    from ..functions.graph import cooccurrence_edges, label_propagation
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    )
-    edges = cooccurrence_edges(li, "l_orderkey", "l_partkey")
-    out = label_propagation(edges, rounds=LPA_ROUNDS)
-    return out.map_batches(
-        lambda t: t.rename_columns(["partkey", "community"]),
-        batch_format="pyarrow",
-    )
-
-
-_LPA_K = 1 << 33
-
-SQL_PART_COMMUNITIES = f"""
-WITH RECURSIVE
-e AS (
-  SELECT DISTINCT l1.l_partkey AS a, l2.l_partkey AS b
-  FROM lineitem l1
-  JOIN lineitem l2
-    ON l1.l_orderkey = l2.l_orderkey AND l1.l_partkey < l2.l_partkey
-),
-dir AS (SELECT a AS s, b AS t FROM e UNION ALL SELECT b, a FROM e),
-lab AS (
-  SELECT 0 AS iter, s AS n, s AS l FROM (SELECT DISTINCT s FROM dir)
-  UNION ALL
-  SELECT q.iter + 1, q.n, ({_LPA_K} - 1) - (q.pk % {_LPA_K})
-  FROM (
-    SELECT cnts.iter, cnts.t AS n,
-           max(cnts.c * {_LPA_K} + ({_LPA_K} - 1 - cnts.l)) AS pk
-    FROM (
-      SELECT l.iter AS iter, d.t AS t, l.l AS l, count(*) AS c
-      FROM lab l JOIN dir d ON d.s = l.n
-      WHERE l.iter < {LPA_ROUNDS}
-      GROUP BY l.iter, d.t, l.l
-    ) cnts
-    GROUP BY cnts.iter, cnts.t
-  ) q
-)
-SELECT n AS partkey, l AS community
-FROM lab WHERE iter = {LPA_ROUNDS}
-"""
-
-
-PPS_SAMPLE_N = 100
-PPS_BUCKETS = 32
-
-
-def q_pps_sample(sf_dir: str):
-    """Probability-proportional-to-size systematic sample of orders
-    weighted by o_totalprice (the survey-sampling / data-audit
-    standard: a fixed grid of sample points laid over the cumulative
-    weight axis, anchor at step/2) — deterministic and EXACT in
-    integer cents, so no transcendental ranking key has to agree
-    across engines (the Efraimidis-Spirakis u^(1/w) trick would pin
-    top-k membership on last-ulp pow/log behavior).
-
-    Distributed prefix without a global sort: orders are range-
-    bucketed by orderkey (keys are near-dense, so value-range buckets
-    are balanced); per-bucket weight sums come back as O(#buckets)
-    scalars whose exclusive prefix is broadcast; each bucket then
-    cumsums locally, adds its offset, and applies the shared
-    count-of-grid-points-below rule — a row is selected iff its
-    weight interval [C_prev, C_i) contains a grid point. One narrow
-    shuffle, O(n_sample) output."""
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_totalprice"],
-    )
-    from ray.data.aggregate import Max as AggMax
-
-    mx = orders.aggregate(AggMax("o_orderkey"))["max(o_orderkey)"]
-    span = int(mx) + 1
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        c = np.rint(t["o_totalprice"].to_numpy() * 100).astype(
-            np.int64
-        )
-        return pa.table(
-            {
-                "o_orderkey": pa.array(k, type=pa.int64()),
-                "c": pa.array(c, type=pa.int64()),
-                "rb": pa.array(
-                    k * PPS_BUCKETS // span, type=pa.int64()
-                ),
-            }
-        )
-
-    wds = orders.map_batches(
-        add_bucket, batch_format="pyarrow"
-    ).materialize()
-
-    # O(#buckets) partial sums -> exclusive prefix on the driver
-    bsum = wds.groupby("rb").sum("c").to_pandas().sort_values("rb")
-    sums = np.zeros(PPS_BUCKETS, dtype=np.int64)
-    sums[bsum["rb"].to_numpy()] = bsum["sum(c)"].to_numpy()
-    offsets = np.concatenate(([0], np.cumsum(sums)[:-1]))
-    total = int(sums.sum())
-    step = total // PPS_SAMPLE_N
-    start = step // 2
-
-    def npoints(c: np.ndarray) -> np.ndarray:
-        # grid points start + j*step (j >= 0) strictly below c
-        return np.where(c <= start, 0, (c - start - 1) // step + 1)
-
-    def select_bucket(t: pa.Table) -> pa.Table:
-        rb = int(t["rb"][0].as_py())
-        k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        c = t["c"].to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="mergesort")
-        k, c = k[order], c[order]
-        ci = np.cumsum(c) + offsets[rb]
-        sel = npoints(ci) > npoints(ci - c)
-        return pa.table(
-            {
-                "o_orderkey": pa.array(k[sel], type=pa.int64()),
-                "weight_cents": pa.array(c[sel], type=pa.int64()),
-            }
-        )
-
-    return wds.groupby("rb").map_groups(
-        select_bucket, batch_format="pyarrow"
-    )
-
-
-SQL_PPS_SAMPLE = f"""
-WITH w AS (
-  SELECT o_orderkey,
-         CAST(round(o_totalprice * 100) AS BIGINT) AS c
-  FROM orders
-),
-cum AS (
-  SELECT o_orderkey, c,
-         sum(c) OVER (ORDER BY o_orderkey) AS ci
-  FROM w
-),
-par AS (
-  SELECT (sum(c) // {PPS_SAMPLE_N}) AS step,
-         (sum(c) // {PPS_SAMPLE_N}) // 2 AS strt
-  FROM w
-)
-SELECT o_orderkey, c AS weight_cents
-FROM cum CROSS JOIN par
-WHERE (CASE WHEN ci <= strt THEN 0
-            ELSE (ci - strt - 1) // step + 1 END)
-    > (CASE WHEN ci - c <= strt THEN 0
-            ELSE (ci - c - strt - 1) // step + 1 END)
-"""
-
-
-ATTR_TOUCHES = ("click", "signup", "view")
-
-
-def q_attribution(sf_dir: str):
-    """Last-touch marketing attribution: each purchase's value is
-    credited to the user's most recent PRIOR touch event (click /
-    view / signup; ties by event_id), or 'direct' when no touch
-    precedes it — the canonical sessionized-analytics rollup.
-
-    Shape: one hash(user) shuffle (bucket-and-segment, the
-    running_totals idiom); inside the bucket one (user, ts, event_id)
-    lexsort + a shifted maximum.accumulate carries the last touch
-    position forward with a segment-start validity check (no per-row
-    Python); per-batch (channel, count, value) partials fold in a
-    #channels-row groupby."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    touches = set(ATTR_TOUCHES)
-
-    def kernel(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "channel": pa.array([], type=pa.string()),
-                    "n": pa.array([], type=pa.int64()),
-                    "val": pa.array([], type=pa.float64()),
-                }
-            )
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        ets = np.asarray(t["event_type"].to_pylist(), dtype=object)
-        val = t["value"].to_numpy(zero_copy_only=False)
-        tsr = _epoch_us(t["ts"])
-        o = np.lexsort((eid, tsr, uid))
-        uid, ets, val = uid[o], ets[o], val[o]
-        starts, sizes = segments(uid)
-        pos = np.arange(n)
-        touch = np.isin(ets, list(touches))
-        marker = np.where(touch, pos, -1)
-        prior = np.concatenate(([-1], marker[:-1]))
-        prior[starts] = -1
-        carried = np.maximum.accumulate(prior)
-        seg_start = np.repeat(starts, sizes)
-        valid = carried >= seg_start
-        is_p = ets == "purchase"
-        ch = np.where(
-            is_p & valid, ets[np.maximum(carried, 0)], "direct"
-        )
-        df = pd.DataFrame(
-            {"channel": ch[is_p], "val": val[is_p]}
-        ).groupby("channel", as_index=False).agg(
-            n=("val", "size"), val=("val", "sum")
-        )
-        return pa.table(
-            {
-                "channel": pa.array(df["channel"], type=pa.string()),
-                "n": pa.array(
-                    df["n"].to_numpy().astype(np.int64)
-                ),
-                "val": pa.array(
-                    df["val"].to_numpy(), type=pa.float64()
-                ),
-            }
-        )
-
-    ev = _events(
-        sf_dir, ["event_id", "user_id", "event_type", "ts", "value"]
-    )
-    agg = (
-        bucketed_apply(ev, "user_id", kernel)
-        .groupby("channel")
-        .aggregate(
-            Sum("n", alias_name="n"), Sum("val", alias_name="val")
-        )
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "channel": t["channel"],
-                "n_purchases": pc.cast(t["n"], pa.int64()),
-                "revenue": pc.round(t["val"], ndigits=6),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_ATTRIBUTION = f"""
-WITH w AS (
-  SELECT event_type, value,
-         last_value(
-           CASE WHEN event_type IN
-             ({", ".join("'" + x + "'" for x in ATTR_TOUCHES)})
-           THEN event_type END IGNORE NULLS
-         ) OVER (
-           PARTITION BY user_id ORDER BY ts, event_id
-           ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
-         ) AS channel
-  FROM events
-)
-SELECT coalesce(channel, 'direct') AS channel,
-       count(*)::BIGINT AS n_purchases,
-       round(sum(value), 6) AS revenue
-FROM w
-WHERE event_type = 'purchase'
-GROUP BY coalesce(channel, 'direct')
-"""
-
-
-def q_gap_fill(sf_dir: str):
-    """Time-series regularization: each user's daily 'view' value
-    TOTAL, with missing days between their first and last observation
-    filled by LINEAR INTERPOLATION — the resample-and-interpolate
-    step every downstream forecaster needs, as a distributed operator
-    (per-user series co-locate via one hash(user) shuffle; the grid
-    expansion and both interpolation anchors are vectorized
-    searchsorted, no per-day Python).
-
-    The observed value is an exact integer-cents day total divided by
-    100 once — NOT a float mean, whose arrival-order summation is
-    nondeterministic and whose rational midpoints can flip the shared
-    round-6 rule against the oracle (caught by a full-gate rerun).
-    The interpolation expression pv + (nv - pv) * ((d - pd)/(nd - pd))
-    is mirrored token-for-token in the oracle (NOT np.interp, whose
-    slope-first factoring rounds differently at the last ulp), and
-    day indices are exact integers (epoch-days)."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    DAY_US = 86_400_000_000
-
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], type=pa.int64()),
-                    "day_idx": pa.array([], type=pa.int64()),
-                    "value": pa.array([], type=pa.float64()),
-                    "filled": pa.array([], type=pa.bool_()),
-                }
-            )
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        day = _epoch_us(t["ts"]) // DAY_US
-        cents = np.rint(
-            t["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        obs = (
-            pd.DataFrame({"u": uid, "d": day, "v": cents})
-            .groupby(["u", "d"], as_index=False)["v"]
-            .sum()
-        )
-        obs["v"] = obs["v"].to_numpy() / 100.0
-        u = obs["u"].to_numpy()
-        d = obs["d"].to_numpy()
-        v = obs["v"].to_numpy()
-        starts, sizes = segments(u)  # groupby output is sorted
-        lo = d[starts]
-        hi = d[starts + sizes - 1]
-        span = hi - lo + 1
-        # grid: per-user contiguous day range
-        g_user = np.repeat(u[starts], span)
-        g_day = (
-            np.arange(int(span.sum()))
-            - np.repeat(np.cumsum(span) - span, span)
-            + np.repeat(lo, span)
-        )
-        # anchors via ONE global searchsorted on the packed
-        # (user, day) key — segments are contiguous and every grid
-        # day lies within its user's observed [lo, hi], so the hit
-        # never crosses a segment boundary (fully vectorized, no
-        # per-user loop)
-        K = np.int64(1) << 32
-        obs_key = u * K + d
-        grid_key = g_user * K + g_day
-        prev_idx = np.searchsorted(obs_key, grid_key, side="right") - 1
-        next_idx = np.searchsorted(obs_key, grid_key, side="left")
-        pd_ = d[prev_idx]
-        pv_ = v[prev_idx]
-        nd_ = d[next_idx]
-        nv_ = v[next_idx]
-        observed = pd_ == g_day
-        with np.errstate(divide="ignore", invalid="ignore"):
-            interp = pv_ + (nv_ - pv_) * (
-                (g_day - pd_).astype(np.float64)
-                / (nd_ - pd_).astype(np.float64)
-            )
-        out_v = np.round(np.where(observed, pv_, interp), 6)
-        return pa.table(
-            {
-                "user_id": pa.array(g_user, type=pa.int64()),
-                "day_idx": pa.array(g_day, type=pa.int64()),
-                "value": pa.array(out_v, type=pa.float64()),
-                "filled": pa.array(~observed, type=pa.bool_()),
-            }
-        )
-
-    ev = _events(
-        sf_dir, ["user_id", "event_type", "ts", "value"]
-    ).map_batches(
-        lambda t: t.filter(pc.equal(t["event_type"], "view")),
-        batch_format="pyarrow",
-    )
-    return bucketed_apply(ev, "user_id", kernel)
-
-
-SQL_GAP_FILL = """
-WITH obs AS (
-  SELECT user_id, (epoch(ts)::BIGINT) // 86400 AS d,
-         sum(CAST(round(value * 100) AS BIGINT)) / 100.0 AS v
-  FROM events WHERE event_type = 'view'
-  GROUP BY user_id, (epoch(ts)::BIGINT) // 86400
-),
-spans AS (
-  SELECT user_id, min(d) AS lo, max(d) AS hi FROM obs GROUP BY user_id
-),
-grid AS (
-  SELECT user_id, unnest(generate_series(lo, hi)) AS d FROM spans
-),
-j AS (
-  SELECT g.user_id, g.d, o.v
-  FROM grid g LEFT JOIN obs o ON o.user_id = g.user_id AND o.d = g.d
-),
-w AS (
-  SELECT user_id, d, v,
-         last_value(v IGNORE NULLS) OVER (
-           PARTITION BY user_id ORDER BY d
-           ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW
-         ) AS pv,
-         last_value(CASE WHEN v IS NOT NULL THEN d END IGNORE NULLS)
-           OVER (
-             PARTITION BY user_id ORDER BY d
-             ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW
-           ) AS pd,
-         first_value(v IGNORE NULLS) OVER (
-           PARTITION BY user_id ORDER BY d
-           ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING
-         ) AS nv,
-         first_value(CASE WHEN v IS NOT NULL THEN d END IGNORE NULLS)
-           OVER (
-             PARTITION BY user_id ORDER BY d
-             ROWS BETWEEN CURRENT ROW AND UNBOUNDED FOLLOWING
-           ) AS nd
-  FROM j
-)
-SELECT user_id, d AS day_idx,
-       round(CASE WHEN v IS NOT NULL THEN pv
-                  ELSE pv + (nv - pv)
-                       * ((d - pd)::DOUBLE / (nd - pd)::DOUBLE) END,
-             6) AS value,
-       v IS NULL AS filled
-FROM w
-"""
-
-
-WEEK_US = 7 * 86_400_000_000
-
-
-def q_retention_cohorts(sf_dir: str):
-    """Retention cohort matrix — the product-analytics staple: users
-    grouped by first-seen week (cohort), counted as active at each
-    later week offset. Output (cohort_week, week_offset,
-    n_active_users), O(#weeks²).
-
-    Shape: ONE hash(user) shuffle does everything — a user's events
-    co-locate, so the first-seen week, the distinct active weeks and
-    the (cohort, offset) pairs are all computed inside the bucket
-    kernel; per-bucket partial counts fold in a #cells groupby.
-    Nothing user-sized leaves the buckets."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def kernel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "cohort_week": pa.array([], type=pa.int64()),
-                    "week_offset": pa.array([], type=pa.int64()),
-                    "partial": pa.array([], type=pa.int64()),
-                }
-            )
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        wk = _epoch_us(t["ts"]) // WEEK_US
-        df = pd.DataFrame({"u": uid, "w": wk}).drop_duplicates()
-        df = df.sort_values(["u", "w"], kind="mergesort")
-        u = df["u"].to_numpy()
-        w = df["w"].to_numpy()
-        starts, sizes = segments(u)
-        cohort = np.repeat(w[starts], sizes)
-        off = w - cohort
-        g = (
-            pd.DataFrame({"cohort_week": cohort, "week_offset": off})
-            .groupby(["cohort_week", "week_offset"], as_index=False)
-            .size()
-            .rename(columns={"size": "partial"})
-        )
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    ev = _events(sf_dir, ["user_id", "ts"])
-    agg = (
-        bucketed_apply(ev, "user_id", kernel)
-        .groupby(["cohort_week", "week_offset"])
-        .sum("partial")
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "cohort_week": t["cohort_week"],
-                "week_offset": t["week_offset"],
-                "n_active_users": pc.cast(
-                    t["sum(partial)"], pa.int64()
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_RETENTION_COHORTS = """
-WITH uw AS (
-  SELECT DISTINCT user_id,
-         (epoch(ts)::BIGINT) // 604800 AS w
-  FROM events
-),
-coh AS (SELECT user_id, min(w) AS cohort FROM uw GROUP BY user_id)
-SELECT c.cohort AS cohort_week,
-       (uw.w - c.cohort) AS week_offset,
-       count(*)::BIGINT AS n_active_users
-FROM uw JOIN coh c ON c.user_id = uw.user_id
-GROUP BY c.cohort, uw.w - c.cohort
-"""
-
-
-ITEMSIM_MIN_CO = 2
-ITEMSIM_T = 0.08
-
-
-def q_item_similarity(sf_dir: str):
-    """Item-item cosine similarity from order co-purchases
-    (functions/graph.py item_cosine_similarity — the Sarwar et al.
-    collaborative-filtering projection): co(a,b)/sqrt(deg a * deg b)
-    with a support floor, the operator behind every 'customers also
-    bought' shelf."""
-    from ..functions.graph import item_cosine_similarity
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    )
-    return item_cosine_similarity(
-        li,
-        "l_orderkey",
-        "l_partkey",
-        threshold=ITEMSIM_T,
-        min_support=ITEMSIM_MIN_CO,
-    )
-
-
-SQL_ITEM_SIMILARITY = f"""
-WITH oi AS (
-  SELECT DISTINCT l_orderkey AS o, l_partkey AS i FROM lineitem
-),
-deg AS (SELECT i, count(*)::BIGINT AS d FROM oi GROUP BY i),
-co AS (
-  SELECT a.i AS ia, b.i AS ib, count(*)::BIGINT AS c
-  FROM oi a JOIN oi b ON a.o = b.o AND a.i < b.i
-  GROUP BY a.i, b.i
-  HAVING count(*) >= {ITEMSIM_MIN_CO}
-)
-SELECT ia AS item_a, ib AS item_b, c AS co_groups,
-       round(c / sqrt(da.d * db.d), 6) AS cosine
-FROM co
-JOIN deg da ON da.i = ia
-JOIN deg db ON db.i = ib
-WHERE c / sqrt(da.d * db.d) >= {ITEMSIM_T}
-"""
-
-
 def q_compression_stats(sf_dir: str):
     """zlib compression-ratio quality signal per document
     (functions/textstats.py compression_stats — the Gopher-style
@@ -1884,448 +868,6 @@ def q_compression_stats(sf_dir: str):
         read_parquet_clean(
             f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
         )
-    )
-
-
-def q_benford_digits(sf_dir: str):
-    """Benford first-significant-digit audit of o_totalprice — the
-    classic fraud/data-integrity census: observed digit frequencies
-    vs the Benford expectation log10(1 + 1/d), with each digit's
-    chi-squared contribution. Map-side per-batch digit counts (string
-    kernel on the integer cents — no float log in the digit
-    extraction) fold into one 9-row groupby; the expectation and chi2
-    arithmetic mirror the oracle token-for-token."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(t["o_totalprice"].to_numpy() * 100).astype(
-            np.int64
-        )
-        first = (
-            pd.Series(cents.astype(str)).str[0].astype(np.int64)
-        )
-        vc = first.value_counts()
-        return pa.table(
-            {
-                "digit": pa.array(
-                    vc.index.to_numpy().astype(np.int64)
-                ),
-                "partial": pa.array(
-                    vc.to_numpy().astype(np.int64)
-                ),
-            }
-        )
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet", columns=["o_totalprice"]
-    )
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("digit")
-        .sum("partial")
-        .to_pandas()
-        .sort_values("digit")
-        .reset_index(drop=True)
-    )
-    n = float(agg["sum(partial)"].sum())
-    cnt = agg["sum(partial)"].to_numpy().astype(np.int64)
-    d = agg["digit"].to_numpy().astype(np.float64)
-    expected = np.log10(1.0 + 1.0 / d) * n
-    chi2 = (cnt - expected) * (cnt - expected) / expected
-    return pa.table(
-        {
-            "digit": pa.array(agg["digit"].to_numpy(), type=pa.int64()),
-            "n": pa.array(cnt),
-            "expected": pa.array(np.round(expected, 6)),
-            "chi2_part": pa.array(np.round(chi2, 6)),
-        }
-    )
-
-
-SQL_BENFORD_DIGITS = """
-WITH d AS (
-  SELECT substr(CAST(CAST(round(o_totalprice * 100) AS BIGINT)
-                     AS VARCHAR), 1, 1)::BIGINT AS digit
-  FROM orders
-),
-c AS (SELECT digit, count(*)::BIGINT AS n FROM d GROUP BY digit),
-tot AS (SELECT sum(n)::DOUBLE AS nn FROM c)
-SELECT digit, n,
-       round(log10(1 + 1.0 / digit) * tot.nn, 6) AS expected,
-       round((n - log10(1 + 1.0 / digit) * tot.nn)
-             * (n - log10(1 + 1.0 / digit) * tot.nn)
-             / (log10(1 + 1.0 / digit) * tot.nn), 6) AS chi2_part
-FROM c CROSS JOIN tot
-"""
-
-
-PSI_BINS = 10
-
-
-def q_psi_drift(sf_dir: str):
-    """Population Stability Index between two order cohorts — THE
-    production model-monitoring drift metric: bin edges are the
-    reference cohort's exact deciles, PSI = Σ (pB - pA)·ln(pB/pA)
-    with Laplace-smoothed shares so empty bins stay finite. Cohorts
-    split by orderkey parity (even = reference A, odd = current B).
-    Output: one row per bin (edge span, both counts, PSI term) — the
-    per-bin decomposition an alert needs, not just the scalar.
-
-    Shape: exact decile edges come from the price_deciles idiom —
-    ONE global_rank shuffle of cohort A on a packed
-    (price_cents, orderkey) total order, then an O(9)-row filter; the
-    9 edges broadcast into a per-batch searchsorted histogram over
-    BOTH cohorts (partial vectors, tiny groupby). The smoothing and
-    the log expression mirror the oracle token-for-token."""
-    from ..stages.order import global_rank
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_totalprice"],
-    )
-
-    def side(par):
-        return orders.map_batches(
-            lambda t: t.filter(
-                pc.equal(
-                    pc.subtract(
-                        t["o_orderkey"],
-                        pc.multiply(
-                            pc.divide(t["o_orderkey"], 2), 2
-                        ),
-                    ),
-                    par,
-                )
-            ),
-            batch_format="pyarrow",
-        )
-
-    ref, cur = side(0), side(1)
-    n_a = ref.count()
-    n_b = cur.count()
-
-    def pack(t: pa.Table) -> pa.Table:
-        cents = np.rint(t["o_totalprice"].to_numpy() * 100).astype(
-            np.int64
-        )
-        okey = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "k": pa.array(cents * (1 << 33) + okey),
-                "cents": pa.array(cents),
-            }
-        )
-
-    ranked = global_rank(
-        ref.map_batches(pack, batch_format="pyarrow"), "k"
-    )
-    targets = {
-        (k * n_a) // PSI_BINS + 1 for k in range(1, PSI_BINS)
-    }
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        r = t["rank"].to_numpy(zero_copy_only=False)
-        keep = np.isin(r, list(targets))
-        return pa.table(
-            {
-                "rank": pa.array(r[keep]),
-                "cents": pa.array(
-                    t["cents"].to_numpy(zero_copy_only=False)[keep]
-                ),
-            }
-        )
-
-    ed = (
-        ranked.map_batches(edge_rows, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("rank")
-    )
-    edges = ed["cents"].to_numpy()  # 9 ascending cent values
-    assert len(edges) == PSI_BINS - 1, (
-        "duplicate decile ranks — reference cohort too small for "
-        f"{PSI_BINS} bins"
-    )
-
-    def hist(which):
-        def fn(t: pa.Table) -> pa.Table:
-            cents = np.rint(
-                t["o_totalprice"].to_numpy() * 100
-            ).astype(np.int64)
-            # side="right": a value equal to an edge goes to the
-            # UPPER bin, matching the oracle's x >= lo AND x < hi
-            b = np.searchsorted(edges, cents, side="right")
-            cnt = np.bincount(b, minlength=PSI_BINS).astype(np.int64)
-            return pa.table(
-                {
-                    "bin": pa.array(
-                        np.arange(PSI_BINS, dtype=np.int64)
-                    ),
-                    "cohort": pa.array([which] * PSI_BINS),
-                    "partial": pa.array(cnt),
-                }
-            )
-
-        return fn
-
-    parts = (
-        ref.map_batches(hist("a"), batch_format="pyarrow")
-        .union(cur.map_batches(hist("b"), batch_format="pyarrow"))
-        .groupby(["bin", "cohort"])
-        .sum("partial")
-        .to_pandas()
-    )
-    piv = (
-        parts.pivot(index="bin", columns="cohort", values="sum(partial)")
-        .reindex(range(PSI_BINS))
-        .fillna(0)
-    )
-    ca = piv["a"].to_numpy().astype(np.float64)
-    cb = piv["b"].to_numpy().astype(np.float64)
-    pa_ = (ca + 0.5) / (n_a + 0.5 * PSI_BINS)
-    pb_ = (cb + 0.5) / (n_b + 0.5 * PSI_BINS)
-    term = (pb_ - pa_) * np.log(pb_ / pa_)
-    lo = np.concatenate(([np.iinfo(np.int64).min], edges))
-    hi = np.concatenate((edges, [np.iinfo(np.int64).max]))
-    return pa.table(
-        {
-            "bin": pa.array(np.arange(PSI_BINS, dtype=np.int64)),
-            "lo_cents": pa.array(lo, type=pa.int64()),
-            "hi_cents": pa.array(hi, type=pa.int64()),
-            "n_ref": pa.array(ca.astype(np.int64)),
-            "n_cur": pa.array(cb.astype(np.int64)),
-            "psi_term": pa.array(np.round(term, 6)),
-        }
-    )
-
-
-SQL_PSI_DRIFT = f"""
-WITH a AS (
-  SELECT o_orderkey,
-         CAST(round(o_totalprice * 100) AS BIGINT) AS cents
-  FROM orders WHERE o_orderkey % 2 = 0
-),
-b AS (
-  SELECT CAST(round(o_totalprice * 100) AS BIGINT) AS cents
-  FROM orders WHERE o_orderkey % 2 = 1
-),
-na AS (SELECT count(*) AS n FROM a),
-nb AS (SELECT count(*) AS n FROM b),
-ranked AS (
-  SELECT cents,
-         row_number() OVER (ORDER BY cents, o_orderkey) AS rn
-  FROM a
-),
-edges AS (
-  SELECT rn, cents,
-         row_number() OVER (ORDER BY rn) AS e
-  FROM ranked CROSS JOIN na
-  WHERE rn IN (
-    SELECT (k * na.n) // {PSI_BINS} + 1
-    FROM range(1, {PSI_BINS}) t(k) CROSS JOIN na
-  )
-),
-bins AS (
-  SELECT i AS bin,
-         coalesce((SELECT cents FROM edges WHERE e = i),
-                  -9223372036854775808) AS lo_cents,
-         coalesce((SELECT cents FROM edges WHERE e = i + 1),
-                  9223372036854775807) AS hi_cents
-  FROM range({PSI_BINS}) t(i)
-),
-ha AS (
-  SELECT bins.bin, count(a.cents) AS n_ref
-  FROM bins LEFT JOIN a
-    ON a.cents >= bins.lo_cents AND a.cents < bins.hi_cents
-  GROUP BY bins.bin
-),
-hb AS (
-  SELECT bins.bin, count(b.cents) AS n_cur
-  FROM bins LEFT JOIN b
-    ON b.cents >= bins.lo_cents AND b.cents < bins.hi_cents
-  GROUP BY bins.bin
-)
-SELECT bins.bin, bins.lo_cents, bins.hi_cents,
-       ha.n_ref::BIGINT AS n_ref, hb.n_cur::BIGINT AS n_cur,
-       round(
-         ((hb.n_cur + 0.5) / (nb.n + 0.5 * {PSI_BINS})
-          - (ha.n_ref + 0.5) / (na.n + 0.5 * {PSI_BINS}))
-         * ln(((hb.n_cur + 0.5) / (nb.n + 0.5 * {PSI_BINS}))
-              / ((ha.n_ref + 0.5) / (na.n + 0.5 * {PSI_BINS}))),
-         6
-       ) AS psi_term
-FROM bins
-JOIN ha USING (bin) JOIN hb USING (bin)
-CROSS JOIN na CROSS JOIN nb
-"""
-
-
-HILL_DMIN = 32
-
-
-def q_degree_powerlaw(sf_dir: str):
-    """Hill estimator of the power-law exponent of the part
-    order-frequency distribution (alpha = 1 + n / Σ ln(d/d_min) over
-    the tail d >= d_min — the continuous MLE of Clauset-Shalizi-Newman
-    2009): the one-number heavy-tail diagnostic that tells a blocking
-    or partitioning design how bad its hot keys are. Output: one row
-    (d_min, n_tail, alpha).
-
-    Shape: per-batch (part, count) partials -> one groupby; the tail
-    reduction is a per-batch pair of scalars (n, Σ ln(d/d_min)) — the
-    log-sum's float associativity error is ~9 orders below the shared
-    round-6 rule."""
-
-    def cnt_partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t["l_partkey"].combine_chunks())
-        return pa.table(
-            {
-                "i": pc.cast(vc.field("values"), pa.int64()),
-                "partial": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
-
-    def tail_partial(t: pa.Table) -> pa.Table:
-        d = t["sum(partial)"].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        )
-        d = d[d >= HILL_DMIN]
-        return pa.table(
-            {
-                "n": pa.array([len(d)], type=pa.int64()),
-                "s": pa.array(
-                    [float(np.log(d / HILL_DMIN).sum())],
-                    type=pa.float64(),
-                ),
-            }
-        )
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey"]
-    )
-    parts = (
-        li.map_batches(cnt_partial, batch_format="pyarrow")
-        .groupby("i")
-        .sum("partial")
-        .map_batches(tail_partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    n = int(parts["n"].sum())
-    s = float(parts["s"].sum())
-    alpha = round(1.0 + n / s, 6) if s > 0 else None
-    return pa.table(
-        {
-            "d_min": pa.array([HILL_DMIN], type=pa.int64()),
-            "n_tail": pa.array([n], type=pa.int64()),
-            "alpha": pa.array([alpha], type=pa.float64()),
-        }
-    )
-
-
-SQL_DEGREE_POWERLAW = f"""
-WITH deg AS (
-  SELECT l_partkey, count(*)::DOUBLE AS d
-  FROM lineitem GROUP BY l_partkey
-),
-tail AS (SELECT d FROM deg WHERE d >= {HILL_DMIN})
-SELECT {HILL_DMIN}::BIGINT AS d_min,
-       count(*)::BIGINT AS n_tail,
-       round(1.0 + count(*) / sum(ln(d / {HILL_DMIN})), 6) AS alpha
-FROM tail
-"""
-
-
-CORR_CENTERS = {
-    "l_quantity": 25.0,
-    "l_extendedprice": 30000.0,
-    "l_discount": 0.05,
-    "l_tax": 0.04,
-}
-
-
-def q_corr_matrix(sf_dir: str):
-    """Pearson correlation census over the lineitem numeric columns —
-    the feature-profiling step before any model touches the table.
-    One streaming pass: each batch emits a single row of 15 mergeable
-    moment partials (n, per-column Σx and Σx², per-pair Σxy), all
-    computed around FIXED per-column centers (the segment_trend
-    idiom) so the (nΣxy − ΣxΣy) numerator never cancels two huge
-    near-equal sums; the driver folds O(#batches) rows and evaluates
-    the shared closed form. Output: 6 (col_a, col_b, corr) rows."""
-    cols = list(CORR_CENTERS)
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=cols
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        X = {
-            c: t[c].to_numpy(zero_copy_only=False).astype(np.float64)
-            - CORR_CENTERS[c]
-            for c in cols
-        }
-        row: dict = {"n": pa.array([float(t.num_rows)])}
-        for c in cols:
-            row[f"s_{c}"] = pa.array([float(X[c].sum())])
-            row[f"ss_{c}"] = pa.array([float((X[c] * X[c]).sum())])
-        for i, a in enumerate(cols):
-            for b in cols[i + 1 :]:
-                row[f"p_{a}__{b}"] = pa.array(
-                    [float((X[a] * X[b]).sum())]
-                )
-        return pa.table(row)
-
-    m = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .sum()
-    )
-    n = m["n"]
-    out_a, out_b, out_c = [], [], []
-    for i, a in enumerate(cols):
-        for b in cols[i + 1 :]:
-            num = n * m[f"p_{a}__{b}"] - m[f"s_{a}"] * m[f"s_{b}"]
-            den = math.sqrt(
-                (n * m[f"ss_{a}"] - m[f"s_{a}"] * m[f"s_{a}"])
-                * (n * m[f"ss_{b}"] - m[f"s_{b}"] * m[f"s_{b}"])
-            )
-            out_a.append(a)
-            out_b.append(b)
-            out_c.append(round(num / den, 6))
-    return pa.table(
-        {
-            "col_a": pa.array(out_a, type=pa.string()),
-            "col_b": pa.array(out_b, type=pa.string()),
-            "corr": pa.array(out_c, type=pa.float64()),
-        }
-    )
-
-
-def _sql_corr_matrix() -> str:
-    cols = list(CORR_CENTERS)
-    sel = ["count(*)::DOUBLE AS n"]
-    for c in cols:
-        cc = CORR_CENTERS[c]
-        sel.append(f"sum({c} - {cc}) AS s_{c}")
-        sel.append(f"sum(({c} - {cc}) * ({c} - {cc})) AS ss_{c}")
-    for i, a in enumerate(cols):
-        for b in cols[i + 1 :]:
-            sel.append(
-                f"sum(({a} - {CORR_CENTERS[a]})"
-                f" * ({b} - {CORR_CENTERS[b]})) AS p_{a}__{b}"
-            )
-    branches = []
-    for i, a in enumerate(cols):
-        for b in cols[i + 1 :]:
-            branches.append(
-                f"SELECT '{a}' AS col_a, '{b}' AS col_b,\n"
-                f"  round((n * p_{a}__{b} - s_{a} * s_{b})\n"
-                f"        / sqrt((n * ss_{a} - s_{a} * s_{a})\n"
-                f"               * (n * ss_{b} - s_{b} * s_{b})), 6)\n"
-                f"    AS corr FROM m"
-            )
-    return (
-        "WITH m AS (SELECT "
-        + ", ".join(sel)
-        + " FROM lineitem)\n"
-        + "\nUNION ALL\n".join(branches)
     )
 
 
@@ -3380,531 +1922,6 @@ GROUP BY p.label
 """
 
 
-# ---------------------------------------------------- relational / agg
-
-
-def q_events_agg(sf_dir: str):
-    """Sum/count/mean per event_type (M12 / SURVEY §2.5 analogs).
-    Pre-aggregated inside map_batches before the tiny groupby."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = (
-            t.select(["event_type", "value"])
-            .to_pandas()
-            .groupby("event_type", as_index=False)
-            .agg(n=("value", "size"), s=("value", "sum"))
-        )
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    ev = read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "event_type": t["event_type"],
-                "n_events": pc.cast(t["n"], pa.int64()),
-                "sum_value": pc.round(t["s"], ndigits=4),
-                "avg_value": pc.round(
-                    pc.divide(t["s"], pc.cast(t["n"], pa.float64())),
-                    ndigits=6,
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_EVENTS_AGG = """
-SELECT event_type, count(*)::BIGINT AS n_events,
-       round(sum(value), 4) AS sum_value,
-       round(sum(value) / count(*), 6) AS avg_value
-FROM events GROUP BY event_type
-"""
-
-
-def q_user_topk(sf_dir: str):
-    ev = read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["user_id", "value"]
-    )
-    agg = ev.groupby("user_id").aggregate(
-        Sum("value", alias_name="total"), Count(alias_name="n")
-    )
-    top = agg.sort(["total", "user_id"], descending=[True, False]).limit(20)
-    return top.map_batches(
-        lambda t: pa.table(
-            {
-                "user_id": t["user_id"],
-                "total_value": pc.round(t["total"], ndigits=4),
-                "n_events": pc.cast(t["n"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_USER_TOPK = """
-SELECT user_id, round(sum(value), 4) AS total_value,
-       count(*)::BIGINT AS n_events
-FROM events GROUP BY user_id
-ORDER BY sum(value) DESC, user_id LIMIT 20
-"""
-
-
-def q_running_count(sf_dir: str):
-    """Per-(user, event_type) occurrence index ordered by (ts,
-    event_id) — the reference's n-th-occurrence counter
-    (convert.py:431-447) as a grouped window.
-
-    Scale shape: bucket-and-segment (stages/bucketed.py) — one shuffle
-    on hash(user_id) % K, lexsort + run-length occ index inside the
-    bucket kernel; never one Python call per user."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def occ_bucket(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        ets = pd.factorize(
-            np.asarray(t["event_type"].to_pylist(), dtype=object)
-        )[0]
-        tsr = _epoch_us(t["ts"])
-        order = np.lexsort((eid, tsr, ets, uid))
-        starts, sizes = segments(uid[order], ets[order])
-        occ = np.arange(n) - np.repeat(starts, sizes) + 1
-        return pa.table(
-            {
-                "event_id": pa.array(eid[order], type=pa.int64()),
-                "occ_idx": pa.array(occ, type=pa.int64()),
-            }
-        )
-
-    ev = _events(sf_dir, ["event_id", "user_id", "event_type", "ts"])
-    return bucketed_apply(ev, "user_id", occ_bucket)
-
-
-SQL_RUNNING_COUNT = """
-SELECT event_id,
-       row_number() OVER (
-         PARTITION BY user_id, event_type ORDER BY ts, event_id
-       )::BIGINT AS occ_idx
-FROM events
-"""
-
-
-def q_running_sum(sf_dir: str):
-    """Per-user cumulative value sum ordered by (ts, event_id) — the
-    ordered PREFIX-AGGREGATE window (SUM ... ROWS UNBOUNDED PRECEDING),
-    complementing running_count's row_number.
-
-    Scale shape: same bucket-and-segment as running_count — one
-    hash(user)%K shuffle, then ONE global np.cumsum per bucket with a
-    per-segment base subtraction (no per-user Python). Left-fold
-    accumulation order matches the SQL window's streaming order, so
-    the rounded floats agree value-for-value."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def cumsum_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        val = t["value"].to_numpy(zero_copy_only=False)
-        tsr = _epoch_us(t["ts"])
-        order = np.lexsort((eid, tsr, uid))
-        v = val[order]
-        starts, sizes = segments(uid[order])
-        cs = np.cumsum(v)
-        base = np.concatenate([[0.0], cs])[starts]
-        running = cs - np.repeat(base, sizes)
-        return pa.table(
-            {
-                "event_id": pa.array(eid[order], type=pa.int64()),
-                "running_value": pa.array(
-                    np.round(running, 6), type=pa.float64()
-                ),
-            }
-        )
-
-    ev = _events(sf_dir, ["event_id", "user_id", "ts", "value"])
-    return bucketed_apply(ev, "user_id", cumsum_bucket)
-
-
-SQL_RUNNING_SUM = """
-SELECT event_id,
-       round(sum(value) OVER (
-         PARTITION BY user_id ORDER BY ts, event_id
-         ROWS UNBOUNDED PRECEDING
-       ), 6) AS running_value
-FROM events
-"""
-
-
-def q_outer_join_balances(sf_dir: str):
-    """FULL OUTER JOIN through the distributed bucket join: the mod-3
-    customer slice against the mod-2 slice on c_custkey, so the result
-    exercises matched rows AND both unmatched directions (left-only
-    where k%3=0 and k%2!=0, right-only the reverse). The engine's
-    outer mode coalesces the key, null-fills the off side — the join
-    family completion (inner/left/semi/anti/outer all oracle-checked).
-    """
-    from ..stages.join import bucket_join
-
-    def side(mod: int, col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            keys = t["c_custkey"].to_numpy(zero_copy_only=False)
-            keep = keys % mod == 0
-            return pa.table(
-                {
-                    "k" if mod == 3 else "k2": pa.array(
-                        keys[keep], type=pa.int64()
-                    ),
-                    col: pc.round(
-                        t["c_acctbal"].filter(pa.array(keep)), ndigits=2
-                    ),
-                }
-            )
-
-        return fn
-
-    cust = lambda: read_parquet_clean(  # noqa: E731
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_acctbal"]
-    )
-    left = cust().map_batches(side(3, "l_bal"), batch_format="pyarrow")
-    right = cust().map_batches(side(2, "r_bal"), batch_format="pyarrow")
-    joined = bucket_join(
-        left,
-        right,
-        left_on="k",
-        right_on="k2",
-        left_schema={"k": pa.int64(), "l_bal": pa.float64()},
-        right_schema={"k2": pa.int64(), "r_bal": pa.float64()},
-        how="outer",
-    )
-    return joined.map_batches(
-        lambda t: t.rename_columns(["c_custkey", "l_bal", "r_bal"]),
-        batch_format="pyarrow",
-    )
-
-
-SQL_OUTER_JOIN_BALANCES = """
-WITH l AS (SELECT c_custkey AS k, round(c_acctbal, 2) AS l_bal
-           FROM customer WHERE c_custkey % 3 = 0),
-     r AS (SELECT c_custkey AS k, round(c_acctbal, 2) AS r_bal
-           FROM customer WHERE c_custkey % 2 = 0)
-SELECT COALESCE(l.k, r.k) AS c_custkey, l.l_bal, r.r_bal
-FROM l FULL OUTER JOIN r ON l.k = r.k
-"""
-
-
-def _snapshot_sides(sf_dir: str):
-    """Two deterministic keyed snapshots of orders for the CDC family:
-    'old' drops keys ≡3 (mod 10); 'new' drops keys ≡2 (mod 7) and
-    bumps o_custkey by 1 where key ≡5 (mod 13) — so a diff exercises
-    inserts, deletes AND updates."""
-
-    def side(mod: int, rem: int, keycol: str, valcol: str, update: bool):
-        def fn(t: pa.Table) -> pa.Table:
-            k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-            keep = k % mod != rem
-            k = k[keep]
-            v = t["o_custkey"].to_numpy(zero_copy_only=False)[keep]
-            if update:
-                v = np.where(k % 13 == 5, v + 1, v)
-            return pa.table(
-                {
-                    keycol: pa.array(k, type=pa.int64()),
-                    valcol: pa.array(v, type=pa.int64()),
-                }
-            )
-
-        return fn
-
-    def orders():
-        return read_parquet_clean(
-            f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-        )
-
-    old = orders().map_batches(
-        side(10, 3, "o_orderkey", "old_custkey", False),
-        batch_format="pyarrow",
-    )
-    new = orders().map_batches(
-        side(7, 2, "o_orderkey__new", "new_custkey", True),
-        batch_format="pyarrow",
-    )
-    return old, new
-
-
-def q_snapshot_diff(sf_dir: str):
-    """CDC snapshot diff (functions/cdc.py snapshot_diff): one
-    full-outer bucketed shuffle over the two order snapshots;
-    unchanged keys are dropped inside each bucket so the emission is
-    churn-sized, never table-sized. Compared columns ride the shuffle
-    directly (exact — no digest-collision caveat); a wide-row 100-TB
-    run would pre-reduce them to a map-side content digest."""
-    from ..functions.cdc import snapshot_diff
-
-    old, new = _snapshot_sides(sf_dir)
-    return snapshot_diff(old, new, key="o_orderkey", compare=["custkey"])
-
-
-SQL_SNAPSHOT_DIFF = """
-WITH old AS (
-  SELECT o_orderkey AS k, o_custkey AS v
-  FROM orders WHERE o_orderkey % 10 != 3
-),
-new AS (
-  SELECT o_orderkey AS k,
-         CASE WHEN o_orderkey % 13 = 5 THEN o_custkey + 1
-              ELSE o_custkey END AS v
-  FROM orders WHERE o_orderkey % 7 != 2
-)
-SELECT COALESCE(old.k, new.k) AS o_orderkey,
-       CASE WHEN old.k IS NULL THEN 'insert'
-            WHEN new.k IS NULL THEN 'delete'
-            ELSE 'update' END AS change,
-       old.v AS old_custkey, new.v AS new_custkey
-FROM old FULL OUTER JOIN new ON old.k = new.k
-WHERE old.k IS NULL OR new.k IS NULL OR old.v != new.v
-"""
-
-
-def q_snapshot_apply(sf_dir: str):
-    """Delta application (functions/cdc.py apply_delta): replay the
-    snapshot_diff output onto the old snapshot — deletes drop,
-    updates replace, inserts add, untouched keys pass through. The
-    oracle IS the new-snapshot definition, so diff→apply round-trip
-    correctness is value-hash-checked end-to-end (two chained
-    bucketed shuffles, both churn- or table-sized, never both)."""
-    from ..functions.cdc import apply_delta, snapshot_diff
-
-    old, new = _snapshot_sides(sf_dir)
-    delta = snapshot_diff(old, new, key="o_orderkey", compare=["custkey"])
-    old2, _ = _snapshot_sides(sf_dir)
-    snapshot = old2.map_batches(
-        lambda t: t.rename_columns(["o_orderkey", "custkey"]),
-        batch_format="pyarrow",
-    )
-    return apply_delta(
-        snapshot, delta, key="o_orderkey", values=["custkey"]
-    )
-
-
-SQL_SNAPSHOT_APPLY = """
-SELECT o_orderkey,
-       CASE WHEN o_orderkey % 13 = 5 THEN o_custkey + 1
-            ELSE o_custkey END AS custkey
-FROM orders WHERE o_orderkey % 7 != 2
-"""
-
-
-def q_incremental_rollup(sf_dir: str):
-    """Incremental view maintenance: keep the per-custkey order-count
-    rollup current under CDC churn WITHOUT rescanning the base table
-    — base aggregate (old snapshot) ⊕ churn-sized delta adjustments
-    (+1 per inserted key, -1 per deleted key, a ±1 pair per update
-    that moved the order between custkeys) folded in ONE groupby;
-    counts that reach zero are dropped. At 100 TB the base aggregate
-    is itself a materialized view and only the delta (emission-bounded
-    by churn, cdc.py snapshot_diff) is computed per refresh.
-
-    The oracle recomputes the rollup from the NEW snapshot directly —
-    the Ray side never reads it, so a value-hash match proves the
-    maintenance algebra, not just the arithmetic."""
-    from ..functions.cdc import (
-        CHANGE_DELETE,
-        CHANGE_INSERT,
-        snapshot_diff,
-    )
-
-    old, new = _snapshot_sides(sf_dir)
-    delta = snapshot_diff(old, new, key="o_orderkey", compare=["custkey"])
-
-    old2, _ = _snapshot_sides(sf_dir)
-
-    def base_partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t["old_custkey"].combine_chunks())
-        return pa.table(
-            {
-                "custkey": pc.cast(vc.field("values"), pa.int64()),
-                "partial": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
-
-    def delta_partial(t: pa.Table) -> pa.Table:
-        ch = t["change"].to_numpy(zero_copy_only=False)
-        oldk = t["old_custkey"].to_numpy(zero_copy_only=False)
-        newk = t["new_custkey"].to_numpy(zero_copy_only=False)
-        minus = oldk[ch != CHANGE_INSERT]  # deletes + update-from
-        plus = newk[ch != CHANGE_DELETE]  # inserts + update-to
-        df = pd.concat(
-            [
-                pd.DataFrame({"custkey": minus, "partial": -1}),
-                pd.DataFrame({"custkey": plus, "partial": 1}),
-            ]
-        )
-        g = df.groupby("custkey", as_index=False)["partial"].sum()
-        return pa.table(
-            {
-                "custkey": pa.array(
-                    g["custkey"].to_numpy(), type=pa.int64()
-                ),
-                "partial": pa.array(
-                    g["partial"].to_numpy(), type=pa.int64()
-                ),
-            }
-        )
-
-    base = old2.map_batches(base_partial, batch_format="pyarrow")
-    adj = delta.map_batches(delta_partial, batch_format="pyarrow")
-    agg = base.union(adj).groupby("custkey").sum("partial")
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "custkey": t["custkey"],
-                "n_orders": pc.cast(t["sum(partial)"], pa.int64()),
-            }
-        ).filter(pc.greater(t["sum(partial)"], 0)),
-        batch_format="pyarrow",
-    )
-
-
-SQL_INCREMENTAL_ROLLUP = """
-WITH new_snap AS (
-  SELECT CASE WHEN o_orderkey % 13 = 5 THEN o_custkey + 1
-              ELSE o_custkey END AS custkey
-  FROM orders WHERE o_orderkey % 7 != 2
-)
-SELECT custkey, count(*)::BIGINT AS n_orders
-FROM new_snap GROUP BY custkey
-"""
-
-
-def q_segment_revenue(sf_dir: str):
-    """orders x customer broadcast hash join -> revenue per market
-    segment. customer is the small side: `ray.put` once, vectorized
-    Series.map per batch (SURVEY §2.4 — all reference joins are
-    map-side)."""
-    import pyarrow.parquet as pq
-
-    from ..stages.broadcast import get_broadcast, put_broadcast
-
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    seg_series = pd.Series(
-        cust["c_mktsegment"].to_pylist(),
-        index=cust["c_custkey"].to_numpy(zero_copy_only=False),
-    )
-    ref = put_broadcast(seg_series)
-
-    def partial(t: pa.Table) -> pa.Table:
-        m = get_broadcast(ref)
-        seg = pd.Series(
-            t["o_custkey"].to_numpy(zero_copy_only=False)
-        ).map(m)
-        df = pd.DataFrame(
-            {"c_mktsegment": seg, "price": t["o_totalprice"].to_numpy()}
-        )
-        g = df.groupby("c_mktsegment", as_index=False).agg(
-            n=("price", "size"), s=("price", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-    )
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "c_mktsegment": t["c_mktsegment"],
-                "n_orders": pc.cast(t["n"], pa.int64()),
-                "revenue": pc.round(t["s"], ndigits=4),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_SEGMENT_REVENUE = """
-SELECT c.c_mktsegment, count(*)::BIGINT AS n_orders,
-       round(sum(o.o_totalprice), 4) AS revenue
-FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-GROUP BY c.c_mktsegment
-"""
-
-
-def q_lineitem_pricing(sf_dir: str):
-    """TPC-H Q1-shaped pricing summary — grouped aggregate with
-    pre-combine (the §2.5 aggregate family at lineitem scale)."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        rev = pc.multiply(
-            t["l_extendedprice"], pc.subtract(1.0, t["l_discount"])
-        )
-        df = pd.DataFrame(
-            {
-                "l_returnflag": t["l_returnflag"].to_pandas(),
-                "l_linestatus": t["l_linestatus"].to_pandas(),
-                "qty": t["l_quantity"].to_numpy(),
-                "rev": rev.to_numpy(),
-            }
-        )
-        g = df.groupby(
-            ["l_returnflag", "l_linestatus"], as_index=False
-        ).agg(n=("qty", "size"), sq=("qty", "sum"), sr=("rev", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet",
-        columns=[
-            "l_returnflag",
-            "l_linestatus",
-            "l_quantity",
-            "l_extendedprice",
-            "l_discount",
-        ],
-    )
-    agg = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sq", alias_name="sq"),
-            Sum("sr", alias_name="sr"),
-        )
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "l_returnflag": t["l_returnflag"],
-                "l_linestatus": t["l_linestatus"],
-                "n_rows": pc.cast(t["n"], pa.int64()),
-                "sum_qty": pc.round(t["sq"], ndigits=4),
-                "sum_revenue": pc.round(t["sr"], ndigits=4),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_LINEITEM_PRICING = """
-SELECT l_returnflag, l_linestatus, count(*)::BIGINT AS n_rows,
-       round(sum(l_quantity), 4) AS sum_qty,
-       round(sum(l_extendedprice * (1 - l_discount)), 4) AS sum_revenue
-FROM lineitem GROUP BY l_returnflag, l_linestatus
-"""
-
-
 # ------------------------------------------- quality-filter composite
 # The canonical training-data cleaning pipeline (task brief): language
 # ID + quality thresholds fused in ONE map_batches pass (both kernels
@@ -3982,11 +1999,10 @@ def q_corpus_quality_gate(sf_dir: str):
     store spills). The p10 threshold comes from a BOUNDED histogram:
     avg_logprob is already rounded to 6dp, so keys are exact 1e-6
     units — per-batch value_counts -> groupby-sum -> one driver
-    cumsum over the value-range-bounded histogram (the
-    value_quantiles idiom), never a row-count-sized collect. The
-    integer-unit compare makes the threshold cut identical to the
-    oracle's double compare (6dp rounding is a monotone bijection
-    onto the units). Heuristic reasons attach via bucket_join on
+    cumsum over the value-range-bounded histogram, never a
+    row-count-sized collect. The integer-unit compare makes the
+    threshold cut identical to the oracle's double compare (6dp
+    rounding is a monotone bijection onto the units). Heuristic reasons attach via bucket_join on
     doc_id."""
     from math import ceil
 
@@ -4102,505 +2118,7 @@ FROM h LEFT JOIN lm USING (doc_id) CROSS JOIN thr
 """
 
 
-# -------------------------------------------- temporal joins (as-of /
-# range) — the brief's custom-operator family: per-key ORDERED
-# compositions in the bucket-and-segment shape (stages/bucketed.py):
-# ONE shuffle on hash(user_id) % K, then a vectorized kernel lexsorts
-# the whole bucket by (user, ts, event_id) and segments per user with
-# run-length arithmetic. The partitioning assumption is one BUCKET
-# fits one task (K is tunable), never one key per Python call.
-
-# "no signup yet" sentinel — both sides emit -1 instead of NULL so the
-# value hash is representation-independent (Int64-with-NA vs
-# float64+NaN encodings of a nullable BIGINT hash differently).
-NO_SIGNUP = -1
-
-
-def q_asof_last_signup(sf_dir: str):
-    """AS-OF join: each event matched to the most recent signup event
-    (ts' <= ts) of the same user — the classic point-in-time join,
-    here as a self-join on the events table. Rows with no prior
-    signup get NO_SIGNUP (-1)."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def asof_bucket(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        tsr = _epoch_us(t["ts"])
-        is_sig = np.asarray(t["event_type"].to_pylist()) == "signup"
-        order = np.lexsort((eid, tsr, uid))
-        tsec = tsr[order] // 1_000_000
-        ar = np.arange(n)
-        # rows are ts-ordered per user: running max of signup row
-        # indices IS the as-of lookup; fills that cross a user
-        # boundary (filled < own segment start) are "no signup yet"
-        filled = np.maximum.accumulate(np.where(is_sig[order], ar, -1))
-        starts, sizes = segments(uid[order])
-        ok = filled >= np.repeat(starts, sizes)
-        last = np.where(ok, tsec[np.maximum(filled, 0)], NO_SIGNUP)
-        return pa.table(
-            {
-                "event_id": pa.array(eid[order], type=pa.int64()),
-                "last_signup_ts": pa.array(last, type=pa.int64()),
-            }
-        )
-
-    ev = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-    return bucketed_apply(ev, "user_id", asof_bucket)
-
-
-SQL_ASOF_LAST_SIGNUP = f"""
-WITH x AS (
-  SELECT event_id, user_id, ts,
-         CASE WHEN event_type = 'signup'
-              THEN epoch_us(ts) // 1000000 END AS sig_ts
-  FROM events
-)
-SELECT event_id,
-       coalesce(max(sig_ts) OVER (
-         PARTITION BY user_id ORDER BY ts, event_id
-         ROWS UNBOUNDED PRECEDING), {NO_SIGNUP})::BIGINT
-         AS last_signup_ts
-FROM x
-"""
-
-RANGE_WINDOW_S = 1800
-
-
-def q_range_count(sf_dir: str):
-    """RANGE join: per event, how many events the same user produced
-    in the preceding 30 minutes (exclusive of itself) — a banded
-    temporal self-join in the bucket-and-segment shape. The whole
-    bucket is solved with ONE pair of searchsorted calls: each user's
-    times are shifted into a disjoint band (band gap > window width),
-    so a global binary search never crosses a user boundary."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def rng_bucket(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        tsec = _epoch_us(t["ts"]) // 1_000_000
-        order = np.lexsort((eid, tsec, uid))
-        t_s = tsec[order]
-        starts, sizes = segments(uid[order])
-        t_rel = t_s - (t_s.min() if len(t_s) else 0)
-        band = t_rel.max() + RANGE_WINDOW_S + 2 if len(t_rel) else 1
-        seg_idx = np.repeat(np.arange(len(starts)), sizes)
-        t_band = t_rel + seg_idx * band
-        lo = np.searchsorted(t_band, t_band - RANGE_WINDOW_S, side="left")
-        hi = np.searchsorted(t_band, t_band, side="right")
-        return pa.table(
-            {
-                "event_id": pa.array(eid[order], type=pa.int64()),
-                "n_prev_30m": pa.array(hi - lo - 1, type=pa.int64()),
-            }
-        )
-
-    ev = _events(sf_dir, ["event_id", "ts", "user_id"])
-    return bucketed_apply(ev, "user_id", rng_bucket)
-
-
-SQL_RANGE_COUNT = f"""
-WITH x AS (
-  SELECT event_id, user_id, epoch_us(ts) // 1000000 AS t FROM events
-)
-SELECT event_id,
-       (count(*) OVER (
-          PARTITION BY user_id ORDER BY t
-          RANGE BETWEEN {RANGE_WINDOW_S} PRECEDING AND CURRENT ROW)
-        - 1)::BIGINT AS n_prev_30m
-FROM x
-"""
-
-
-# ------------------------------------------------- windowed aggregates
-# The streaming-window family over `events` (task brief: windowed
-# aggregate / streaming window as custom operators). All three are
-# expressed as Dataset compositions — window-key assignment inside
-# map_batches (tumbling: one key; sliding: flat-map to width/hop
-# overlapping windows), partial combine per batch, then one tiny
-# groupby; session windows need per-user ordering, so they ride
-# groupby(user).map_groups. Window starts are integer epoch seconds on
-# both sides (no timestamp-precision ambiguity in the value hash).
-
-TUMBLE_S = 3600
-SLIDE_WIDTH_S = 3600
-SLIDE_HOP_S = 900
-SESSION_GAP_S = 1800
-
-
-def _events(sf_dir: str, cols):
-    return read_parquet_clean(f"{sf_dir}/events.parquet", columns=cols)
-
-
-def _epoch_us(ts_col) -> np.ndarray:
-    """Epoch microseconds via an EXPLICIT datetime64[us] cast — a bare
-    .astype(int64) is precision-dependent (ns-coerced pandas would
-    silently yield nanoseconds and break every window constant)."""
-    return (
-        ts_col.to_numpy(zero_copy_only=False)
-        .astype("datetime64[us]")
-        .astype(np.int64)
-    )
-
-
-def _epoch_s(ts_col) -> np.ndarray:
-    return _epoch_us(ts_col) // 1_000_000
-
-
-def q_window_tumbling(sf_dir: str):
-    def partial(t: pa.Table) -> pa.Table:
-        ws = (_epoch_s(t["ts"]) // TUMBLE_S) * TUMBLE_S
-        df = pd.DataFrame(
-            {
-                "window_start": ws,
-                "event_type": t["event_type"].to_pylist(),
-                "value": t["value"].to_numpy(),
-            }
-        )
-        g = df.groupby(["window_start", "event_type"], as_index=False).agg(
-            n=("value", "size"), s=("value", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    agg = (
-        _events(sf_dir, ["ts", "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["window_start", "event_type"])
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "window_start": pc.cast(t["window_start"], pa.int64()),
-                "event_type": t["event_type"],
-                "n_events": pc.cast(t["n"], pa.int64()),
-                "sum_value": pc.round(t["s"], ndigits=4),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_WINDOW_TUMBLING = f"""
-SELECT (epoch_us(ts) // {TUMBLE_S * 1_000_000}) * {TUMBLE_S}
-         AS window_start,
-       event_type, count(*)::BIGINT AS n_events,
-       round(sum(value), 4) AS sum_value
-FROM events GROUP BY 1, 2
-"""
-
-
-def q_window_sliding(sf_dir: str):
-    n_hops = SLIDE_WIDTH_S // SLIDE_HOP_S
-
-    def partial(t: pa.Table) -> pa.Table:
-        base = _epoch_s(t["ts"]) // SLIDE_HOP_S
-        n = len(base)
-        # each event lands in width/hop overlapping windows
-        ws = (
-            (base[:, None] - np.arange(n_hops)[None, :]) * SLIDE_HOP_S
-        ).ravel()
-        et = np.repeat(
-            np.asarray(t["event_type"].to_pylist(), dtype=object), n_hops
-        )
-        val = np.repeat(t["value"].to_numpy(), n_hops)
-        df = pd.DataFrame(
-            {"window_start": ws, "event_type": et, "value": val}
-        )
-        g = df.groupby(["window_start", "event_type"], as_index=False).agg(
-            n=("value", "size"), s=("value", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    agg = (
-        _events(sf_dir, ["ts", "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["window_start", "event_type"])
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "window_start": pc.cast(t["window_start"], pa.int64()),
-                "event_type": t["event_type"],
-                "n_events": pc.cast(t["n"], pa.int64()),
-                "sum_value": pc.round(t["s"], ndigits=4),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_WINDOW_SLIDING = f"""
-SELECT ((epoch_us(ts) // {SLIDE_HOP_S * 1_000_000}) - i.i)
-         * {SLIDE_HOP_S} AS window_start,
-       event_type, count(*)::BIGINT AS n_events,
-       round(sum(value), 4) AS sum_value
-FROM events,
-     (SELECT unnest(generate_series(0, {SLIDE_WIDTH_S // SLIDE_HOP_S - 1}))
-        AS i) i
-GROUP BY 1, 2
-"""
-
-
-def q_window_session(sf_dir: str):
-    """Gap-based session windows per user — the one window family that
-    needs ordered per-key state, in the bucket-and-segment shape: a
-    session break is "first row of a user OR gap > threshold", so a
-    global cumsum of breaks gives contiguous session runs and
-    np.add.reduceat aggregates every session in one call — no per-user
-    (let alone per-session) Python."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def sess_bucket(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], type=pa.int64()),
-                    "session_id": pa.array([], type=pa.int64()),
-                    "session_start": pa.array([], type=pa.int64()),
-                    "n_events": pa.array([], type=pa.int64()),
-                    "sum_value": pa.array([], type=pa.float64()),
-                }
-            )
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        val = t["value"].to_numpy(zero_copy_only=False)
-        tsec = _epoch_us(t["ts"]) // 1_000_000
-        order = np.lexsort((eid, tsec, uid))
-        uid_s, t_s, val_s = uid[order], tsec[order], val[order]
-        starts, sizes = segments(uid_s)
-        brk = np.zeros(n, dtype=bool)
-        brk[starts] = True
-        brk[1:] |= (t_s[1:] - t_s[:-1]) > SESSION_GAP_S
-        gsid = np.cumsum(brk)  # global (cross-user) session run id
-        sid = gsid - np.repeat(gsid[starts], sizes) + 1
-        s_starts = np.flatnonzero(brk)
-        s_sizes = np.diff(np.append(s_starts, n))
-        return pa.table(
-            {
-                "user_id": pa.array(uid_s[s_starts], type=pa.int64()),
-                "session_id": pa.array(sid[s_starts], type=pa.int64()),
-                "session_start": pa.array(t_s[s_starts], type=pa.int64()),
-                "n_events": pa.array(s_sizes, type=pa.int64()),
-                "sum_value": pa.array(
-                    np.round(np.add.reduceat(val_s, s_starts), 4)
-                ),
-            }
-        )
-
-    ev = _events(sf_dir, ["event_id", "ts", "user_id", "value"])
-    return bucketed_apply(ev, "user_id", sess_bucket)
-
-
-SQL_WINDOW_SESSION = f"""
-WITH x AS (
-  SELECT user_id, event_id, value, epoch_us(ts) // 1000000 AS t,
-         lag(epoch_us(ts) // 1000000) OVER (
-           PARTITION BY user_id ORDER BY ts, event_id) AS prev_t
-  FROM events
-),
-s AS (
-  SELECT user_id, t, value,
-         sum(CASE WHEN prev_t IS NULL
-                    OR t - prev_t > {SESSION_GAP_S}
-                  THEN 1 ELSE 0 END) OVER (
-           PARTITION BY user_id ORDER BY t, event_id
-           ROWS UNBOUNDED PRECEDING) AS session_id
-  FROM x
-)
-SELECT user_id, session_id::BIGINT AS session_id,
-       min(t)::BIGINT AS session_start,
-       count(*)::BIGINT AS n_events,
-       round(sum(value), 4) AS sum_value
-FROM s GROUP BY user_id, session_id
-"""
-
-
-def q_state_intervals(sf_dir: str):
-    """Gaps-and-islands / SCD2 compaction: per user, collapse
-    consecutive runs of the same event_type into validity intervals
-    (state, valid_from, valid_to, n_events) — the slowly-changing-
-    dimension history build. Bucket-and-segment shape (one shuffle on
-    hash(user), vectorized run-length islands inside the bucket);
-    valid_to is the NEXT island's start within the user (null on the
-    open tail), computed by one np.roll — no per-user Python. All
-    timestamps ride as exact epoch microseconds so the kernel and the
-    LAG/LEAD oracle share one total order (ts, event_id)."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def islands(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], type=pa.int64()),
-                    "island": pa.array([], type=pa.int64()),
-                    "state": pa.array([], type=pa.string()),
-                    "valid_from": pa.array([], type=pa.int64()),
-                    "valid_to": pa.array([], type=pa.int64()),
-                    "n_events": pa.array([], type=pa.int64()),
-                }
-            )
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        tus = _epoch_us(t["ts"])
-        codes, states = pd.factorize(
-            t["event_type"].to_numpy(zero_copy_only=False)
-        )
-        order = np.lexsort((eid, tus, uid))
-        uid_s, t_s, c_s = uid[order], tus[order], codes[order]
-        u_starts, u_sizes = segments(uid_s)
-        brk = np.zeros(n, dtype=bool)
-        brk[u_starts] = True
-        brk[1:] |= c_s[1:] != c_s[:-1]
-        gid = np.cumsum(brk)  # global island run id
-        island = gid - np.repeat(gid[u_starts], u_sizes) + 1  # 1-based
-        i_starts = np.flatnonzero(brk)
-        i_sizes = np.diff(np.append(i_starts, n))
-        vf = t_s[i_starts]
-        u_i = uid_s[i_starts]
-        nxt_vf = np.roll(vf, -1)
-        open_tail = np.roll(u_i, -1) != u_i
-        if len(u_i):
-            open_tail[-1] = True
-        return pa.table(
-            {
-                "user_id": pa.array(u_i, type=pa.int64()),
-                "island": pa.array(island[i_starts], type=pa.int64()),
-                "state": pa.array(
-                    np.asarray(states, dtype=object)[c_s[i_starts]],
-                    type=pa.string(),
-                ),
-                "valid_from": pa.array(vf, type=pa.int64()),
-                "valid_to": pa.array(
-                    nxt_vf, type=pa.int64(), mask=open_tail
-                ),
-                "n_events": pa.array(i_sizes, type=pa.int64()),
-            }
-        )
-
-    ev = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-    return bucketed_apply(ev, "user_id", islands)
-
-
-SQL_STATE_INTERVALS = """
-WITH x AS (
-  SELECT user_id, event_type, event_id, epoch_us(ts) AS t,
-         lag(event_type) OVER (
-           PARTITION BY user_id ORDER BY epoch_us(ts), event_id
-         ) AS prev_state
-  FROM events
-),
-s AS (
-  SELECT user_id, event_type, t,
-         sum(CASE WHEN prev_state IS NULL
-                    OR event_type != prev_state THEN 1 ELSE 0 END)
-           OVER (PARTITION BY user_id ORDER BY t, event_id
-                 ROWS UNBOUNDED PRECEDING) AS island
-  FROM x
-),
-g AS (
-  SELECT user_id, island, min(event_type) AS state,
-         min(t) AS valid_from, count(*) AS n_events
-  FROM s GROUP BY user_id, island
-)
-SELECT user_id, island::BIGINT AS island, state,
-       valid_from::BIGINT AS valid_from,
-       lead(valid_from) OVER (
-         PARTITION BY user_id ORDER BY island
-       )::BIGINT AS valid_to,
-       n_events::BIGINT AS n_events
-FROM g
-"""
-
-
-def q_event_transitions(sf_dir: str):
-    """First-order Markov transition matrix over per-user event
-    sequences: counts and row-normalized probabilities of
-    (prev_type → next_type) — the sequence-model building block
-    (n-gram over events). Bucket-and-segment on user (consecutive
-    pairs come from one shifted compare, no per-user Python), partial
-    counts per bucket, one tiny (#types²-row) groupby, and the
-    probability normalization runs per prev_type group on the
-    O(#types²) aggregate — nothing row-scale past the first shuffle."""
-    from ..stages.bucketed import bucketed_apply
-
-    def pairs(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n < 2:
-            return pa.table(
-                {
-                    "prev_type": pa.array([], type=pa.string()),
-                    "next_type": pa.array([], type=pa.string()),
-                    "partial": pa.array([], type=pa.int64()),
-                }
-            )
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        tus = _epoch_us(t["ts"])
-        codes, types = pd.factorize(
-            t["event_type"].to_numpy(zero_copy_only=False)
-        )
-        order = np.lexsort((eid, tus, uid))
-        uid_s, c_s = uid[order], codes[order]
-        same = uid_s[1:] == uid_s[:-1]
-        tarr = np.asarray(types, dtype=object)
-        df = pd.DataFrame(
-            {
-                "prev_type": tarr[c_s[:-1][same]],
-                "next_type": tarr[c_s[1:][same]],
-            }
-        )
-        g = df.groupby(
-            ["prev_type", "next_type"], as_index=False
-        ).size().rename(columns={"size": "partial"})
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    ev = _events(sf_dir, ["event_id", "ts", "user_id", "event_type"])
-    agg = (
-        bucketed_apply(ev, "user_id", pairs)
-        .groupby(["prev_type", "next_type"])
-        .sum("partial")
-    )
-
-    def prob(g: pa.Table) -> pa.Table:
-        n = g["sum(partial)"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "prev_type": g["prev_type"],
-                "next_type": g["next_type"],
-                "n": pa.array(n, type=pa.int64()),
-                "p": pa.array(np.round(n / n.sum(), 6)),
-            }
-        )
-
-    return agg.groupby("prev_type").map_groups(
-        prob, batch_format="pyarrow"
-    )
-
-
-SQL_EVENT_TRANSITIONS = """
-WITH x AS (
-  SELECT user_id, event_type,
-         lag(event_type) OVER (
-           PARTITION BY user_id ORDER BY epoch_us(ts), event_id
-         ) AS prev
-  FROM events
-),
-c AS (
-  SELECT prev AS prev_type, event_type AS next_type, count(*) AS n
-  FROM x WHERE prev IS NOT NULL GROUP BY prev, event_type
-)
-SELECT prev_type, next_type, n::BIGINT AS n,
-       round(n / sum(n) OVER (PARTITION BY prev_type), 6) AS p
-FROM c
-"""
+# ------------------------------------------------ sampling / lookups
 
 
 # Sampling (reference utils.py:40 random choice / service_checker.py:55
@@ -4940,367 +2458,6 @@ SELECT 'pmc' AS src, url, title,
 
 # --------------------------------------- multi-way joins / windows (r3)
 
-# TPC-H-Q3-style cutoff: median order date of the synthetic corpus so
-# both date filters keep roughly half their side at every sf.
-_Q3_CUTOFF = np.datetime64("1998-04-13", "us")
-
-
-def q_shipping_priority(sf_dir: str):
-    """Revenue top-10 over customer ⋈ orders ⋈ lineitem (TPC-H Q3
-    analog) — the engine's multi-way distributed join showcase.
-
-    Scale shape: column-pruned reads, filters + per-batch partial
-    aggregation BEFORE each shuffle, two bucketed hash joins
-    (stages/join.py), and the final per-order revenue sum folded into
-    the second join's bucket via ``left_prepare`` (l_orderkey
-    determines the bucket, so in-bucket groupby-sum is globally
-    exact). The global sort sees only per-batch top-10 survivors."""
-    from ..stages.join import bucket_join
-
-    def cust_prep(t: pa.Table) -> pa.Table:
-        keep = pc.equal(t["c_mktsegment"], "BUILDING")
-        return pa.table({"c_custkey": t.filter(keep)["c_custkey"]})
-
-    cust = read_parquet_clean(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment"],
-    ).map_batches(cust_prep, batch_format="pyarrow")
-
-    def ord_prep(t: pa.Table) -> pa.Table:
-        keep = pc.less(t["o_orderdate"], pa.scalar(_Q3_CUTOFF))
-        f = t.filter(keep)
-        return pa.table(
-            {
-                "o_custkey": f["o_custkey"],
-                "o_orderkey": f["o_orderkey"],
-                "o_orderdate_s": pa.array(
-                    _epoch_s(f["o_orderdate"]), type=pa.int64()
-                ),
-            }
-        )
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    ).map_batches(ord_prep, batch_format="pyarrow")
-
-    qual_orders = bucket_join(
-        orders,
-        cust,
-        left_on="o_custkey",
-        right_on="c_custkey",
-        left_schema={
-            "o_custkey": pa.int64(),
-            "o_orderkey": pa.int64(),
-            "o_orderdate_s": pa.int64(),
-        },
-        right_schema={"c_custkey": pa.int64()},
-    ).select_columns(["o_orderkey", "o_orderdate_s"])
-
-    def li_prep(t: pa.Table) -> pa.Table:
-        keep = pc.greater(t["l_shipdate"], pa.scalar(_Q3_CUTOFF))
-        f = t.filter(keep)
-        rev = pc.multiply(
-            f["l_extendedprice"], pc.subtract(1.0, f["l_discount"])
-        )
-        df = (
-            pa.table({"l_orderkey": f["l_orderkey"], "rev": rev})
-            .to_pandas()
-            .groupby("l_orderkey", as_index=False)["rev"]
-            .sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet",
-        columns=[
-            "l_orderkey",
-            "l_extendedprice",
-            "l_discount",
-            "l_shipdate",
-        ],
-    ).map_batches(li_prep, batch_format="pyarrow")
-
-    def sum_in_bucket(l: pd.DataFrame) -> pd.DataFrame:
-        return l.groupby("l_orderkey", as_index=False)["rev"].sum()
-
-    joined = bucket_join(
-        li,
-        qual_orders,
-        left_on="l_orderkey",
-        right_on="o_orderkey",
-        left_schema={"l_orderkey": pa.int64(), "rev": pa.float64()},
-        right_schema={
-            "o_orderkey": pa.int64(),
-            "o_orderdate_s": pa.int64(),
-        },
-        left_prepare=sum_in_bucket,
-    )
-
-    def partial_top(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().sort_values(
-            ["rev", "l_orderkey"], ascending=[False, True]
-        )
-        return pa.Table.from_pandas(df.head(10), preserve_index=False).replace_schema_metadata(None)
-
-    top = (
-        joined.map_batches(partial_top, batch_format="pyarrow")
-        .sort(["rev", "l_orderkey"], descending=[True, False])
-        .limit(10)
-    )
-    return top.map_batches(
-        lambda t: pa.table(
-            {
-                "o_orderkey": t["l_orderkey"],
-                "revenue": pc.round(t["rev"], ndigits=4),
-                "o_orderdate_s": t["o_orderdate_s"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_SHIPPING_PRIORITY = """
-SELECT o.o_orderkey,
-       round(sum(l.l_extendedprice * (1 - l.l_discount)), 4) AS revenue,
-       (epoch_us(o.o_orderdate) // 1000000) AS o_orderdate_s
-FROM customer c
-JOIN orders o ON c.c_custkey = o.o_custkey
-JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-WHERE c.c_mktsegment = 'BUILDING'
-  AND o.o_orderdate < TIMESTAMP '1998-04-13'
-  AND l.l_shipdate > TIMESTAMP '1998-04-13'
-GROUP BY o.o_orderkey, o.o_orderdate
-ORDER BY sum(l.l_extendedprice * (1 - l.l_discount)) DESC, o.o_orderkey
-LIMIT 10
-"""
-
-
-_RECENT_CUTOFF = np.datetime64("2000-01-01", "us")
-
-
-def q_cust_no_orders(sf_dir: str):
-    """Customers with NO orders since 2000, counted per market segment
-    — distributed ANTI join: left bucket_join against an in-bucket
-    DISTINCT probe side (``right_prepare``; a key's rows co-locate in
-    one bucket, so per-bucket dedup is globally exact), then filter
-    null-probe rows and partial-count before a tiny groupby."""
-    from ..stages.join import bucket_join
-
-    cust = read_parquet_clean(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment"],
-    )
-
-    def probe_prep(t: pa.Table) -> pa.Table:
-        keep = pc.greater_equal(
-            t["o_orderdate"], pa.scalar(_RECENT_CUTOFF)
-        )
-        u = pc.unique(t.filter(keep)["o_custkey"].combine_chunks())
-        return pa.table(
-            {
-                "o_custkey": u,
-                "hit": pa.array(
-                    np.ones(len(u), dtype=np.int64), type=pa.int64()
-                ),
-            }
-        )
-
-    recent = read_parquet_clean(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
-    ).map_batches(probe_prep, batch_format="pyarrow")
-
-    joined = bucket_join(
-        cust,
-        recent,
-        left_on="c_custkey",
-        right_on="o_custkey",
-        left_schema={
-            "c_custkey": pa.int64(),
-            "c_mktsegment": pa.string(),
-        },
-        right_schema={"o_custkey": pa.int64(), "hit": pa.int64()},
-        how="left",
-        right_prepare=lambda r: r.drop_duplicates("o_custkey"),
-    )
-
-    def anti_count(t: pa.Table) -> pa.Table:
-        miss = t.filter(pc.is_null(t["hit"]))
-        df = (
-            pa.table({"c_mktsegment": miss["c_mktsegment"]})
-            .to_pandas()
-            .groupby("c_mktsegment", as_index=False)
-            .size()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    agg = (
-        joined.map_batches(anti_count, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(Sum("size", alias_name="n"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "c_mktsegment": t["c_mktsegment"],
-                "n_customers": pc.cast(t["n"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_CUST_NO_ORDERS = """
-SELECT c_mktsegment, count(*)::BIGINT AS n_customers
-FROM customer c
-WHERE NOT EXISTS (
-  SELECT 1 FROM orders o
-  WHERE o.o_custkey = c.c_custkey
-    AND o.o_orderdate >= TIMESTAMP '2000-01-01'
-)
-GROUP BY c_mktsegment
-"""
-
-
-def q_user_rank(sf_dir: str):
-    """Top-3 events per user by value (ROW_NUMBER window) —
-    bucket-and-segment: one hash(user_id) shuffle, lexsort within the
-    bucket, rank = position − segment start (vectorized); never one
-    Python call per user."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def rank_bucket(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        val = t["value"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, -val, uid))
-        starts, sizes = segments(uid[order])
-        rnk = np.arange(n) - np.repeat(starts, sizes) + 1
-        keep = rnk <= 3
-        o = order[keep]
-        return pa.table(
-            {
-                "user_id": pa.array(uid[o], type=pa.int64()),
-                "event_id": pa.array(eid[o], type=pa.int64()),
-                "value": pa.array(val[o], type=pa.float64()),
-                "rnk": pa.array(rnk[keep], type=pa.int64()),
-            }
-        )
-
-    ev = _events(sf_dir, ["event_id", "user_id", "value"])
-    return bucketed_apply(ev, "user_id", rank_bucket)
-
-
-SQL_USER_RANK = """
-WITH r AS (
-  SELECT user_id, event_id, value,
-         row_number() OVER (
-           PARTITION BY user_id ORDER BY value DESC, event_id
-         )::BIGINT AS rnk
-  FROM events
-)
-SELECT user_id, event_id, value, rnk FROM r WHERE rnk <= 3
-"""
-
-
-def q_event_gap(sf_dir: str):
-    """Seconds since the user's previous event (LAG window); first
-    event per user gets -1 (null-free contract — see asof). Same
-    bucket-and-segment shape as q_user_rank."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def gap_bucket(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        tss = _epoch_s(t["ts"])
-        order = np.lexsort((eid, tss, uid))
-        su, st = uid[order], tss[order]
-        starts, _sizes = segments(su)
-        gap = np.empty(len(su), dtype=np.int64)
-        gap[1:] = st[1:] - st[:-1]
-        gap[starts] = -1
-        return pa.table(
-            {
-                "event_id": pa.array(eid[order], type=pa.int64()),
-                "gap_s": pa.array(gap, type=pa.int64()),
-            }
-        )
-
-    ev = _events(sf_dir, ["event_id", "user_id", "ts"])
-    return bucketed_apply(ev, "user_id", gap_bucket)
-
-
-SQL_EVENT_GAP = """
-SELECT event_id,
-       coalesce(
-         (epoch_us(ts) // 1000000)
-           - lag(epoch_us(ts) // 1000000) OVER (
-               PARTITION BY user_id ORDER BY ts, event_id
-             ),
-         -1
-       ) AS gap_s
-FROM events
-"""
-
-
-def q_distinct_users(sf_dir: str):
-    """Exact COUNT(DISTINCT user_id) per event_type. Scale shape:
-    per-batch pair dedup shrinks the shuffle to distinct-pair volume,
-    the shuffle buckets on hash(user_id) (a pair lands in exactly one
-    bucket, so per-bucket distinct-then-count partials are exact), and
-    the final groupby sums `n_types` partial rows. The approximate
-    counterpart that never ships keys is `distinct_users_hll`
-    (functions/sketch.py)."""
-    from ..stages.bucketed import bucketed_apply
-
-    def pair_dedup(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().drop_duplicates(["event_type", "user_id"])
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    def count_bucket(t: pa.Table) -> pa.Table:
-        df = (
-            t.to_pandas()
-            .drop_duplicates(["event_type", "user_id"])
-            .groupby("event_type", as_index=False)
-            .size()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    ev = _events(sf_dir, ["event_type", "user_id"]).map_batches(
-        pair_dedup, batch_format="pyarrow"
-    )
-    agg = (
-        bucketed_apply(ev, "user_id", count_bucket)
-        .groupby("event_type")
-        .aggregate(Sum("size", alias_name="n"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "event_type": t["event_type"],
-                "n_users": pc.cast(t["n"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_DISTINCT_USERS = """
-SELECT event_type, count(DISTINCT user_id)::BIGINT AS n_users
-FROM events GROUP BY event_type
-"""
-
-
-def q_distinct_users_hll(sf_dir: str):
-    """HyperLogLog approximate distinct users per event_type —
-    rows-only (approximate by design; pytest pins the error bound
-    against the exact count, tests/test_sketch.py)."""
-    from ..functions.sketch import hll_distinct
-
-    ev = _events(sf_dir, ["event_type", "user_id"])
-    return hll_distinct(ev, key="user_id", group="event_type")
-
 
 def q_repetition_stats(sf_dir: str):
     """Gopher-style repetition quality signals per document:
@@ -5341,58 +2498,6 @@ SELECT dup.doc_id,
        round(COALESCE(topc::DOUBLE / tot, 0), 6) AS top_bigram_frac,
        round(df, 6) AS dup_word_frac
 FROM dup LEFT JOIN topg ON topg.doc_id = dup.doc_id
-"""
-
-
-QUANTILES = (0.25, 0.5, 0.75, 0.9)
-
-
-def q_value_quantiles(sf_dir: str):
-    """Exact discrete quantiles of events.value via a bounded-key
-    histogram: per-batch value_counts on cents = round(value * 100)
-    (the column is fixed 2-decimal), groupby-sum over at most
-    range x 100 distinct keys, then one driver cumsum over the
-    BOUNDED histogram — bounded by value range, not row count, so the
-    shape holds at 100 TB. For unbounded-precision columns the
-    approximate path is a t-digest-style sketch (see
-    functions/sketch.py HLL for the pattern); exactness here is what
-    the oracle checks."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(
-            t["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        uk, uc = np.unique(cents, return_counts=True)
-        return pa.table({"cents": uk, "n": uc})
-
-    ev = _events(sf_dir, ["value"])
-    hist = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("cents")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-        .sort_values("cents")
-    )
-    cum = hist["n"].cumsum().to_numpy()
-    total = int(cum[-1])
-    vals = []
-    for q in QUANTILES:
-        # percentile_disc: smallest value with cum count >= ceil(q*n)
-        rank = int(np.ceil(q * total))
-        vals.append(hist["cents"].to_numpy()[np.searchsorted(cum, rank)])
-    return pa.table(
-        {
-            "q": pa.array(QUANTILES, type=pa.float64()),
-            "qvalue": pa.array(np.array(vals) / 100.0, type=pa.float64()),
-        }
-    )
-
-
-SQL_VALUE_QUANTILES = f"""
-SELECT unnest([{", ".join(str(q) for q in QUANTILES)}]) AS q,
-       unnest(quantile_disc(value,
-              [{", ".join(str(q) for q in QUANTILES)}])) AS qvalue
-FROM events
 """
 
 
@@ -5471,112 +2576,6 @@ SELECT source, count(*)::BIGINT AS n_docs,
        round(sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END)::DOUBLE
              / count(*), 6) AS en_share
 FROM documents GROUP BY source
-"""
-
-
-EVENT_TYPES = ("click", "view", "purchase", "signup", "error")
-
-
-def q_event_pivot(sf_dir: str):
-    """Per-user event-type pivot (one count column per type) — the
-    pivot is partial-aggregated inside map_batches (indicator sums per
-    user per batch), so the groupby ships at most one row per
-    (user, batch), never one per event."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "user_id": t["user_id"].to_numpy(zero_copy_only=False),
-                "event_type": t["event_type"].to_pylist(),
-            }
-        )
-        for et in EVENT_TYPES:
-            df[f"n_{et}"] = (df["event_type"] == et).astype(np.int64)
-        g = df.drop(columns="event_type").groupby(
-            "user_id", as_index=False
-        ).sum()
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    agg = (
-        _events(sf_dir, ["user_id", "event_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            *[Sum(f"n_{et}", alias_name=f"n_{et}") for et in EVENT_TYPES]
-        )
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "user_id": t["user_id"],
-                **{
-                    f"n_{et}": pc.cast(t[f"n_{et}"], pa.int64())
-                    for et in EVENT_TYPES
-                },
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_EVENT_PIVOT = "SELECT user_id, " + ", ".join(
-    f"count(*) FILTER (event_type = '{et}')::BIGINT AS n_{et}"
-    for et in EVENT_TYPES
-) + " FROM events GROUP BY user_id"
-
-
-def q_props_extract(sf_dir: str):
-    """Semi-structured extraction: pull integer k out of the JSON
-    props string with one vectorized regex (pc.extract_regex), then
-    aggregate per event_type — the log-enrichment pattern (parse once
-    near the read, never re-parse downstream)."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        k = pc.cast(
-            pc.struct_field(
-                pc.extract_regex(t["props"], r'"k": (?P<k>\d+)'), "k"
-            ),
-            pa.int64(),
-        )
-        df = (
-            pa.table({"event_type": t["event_type"], "k": k})
-            .to_pandas()
-            .groupby("event_type", as_index=False)
-            .agg(n=("k", "size"), s=("k", "sum"))
-        )
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    agg = (
-        _events(sf_dir, ["event_type", "props"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "event_type": t["event_type"],
-                "sum_k": pc.cast(t["s"], pa.int64()),
-                "avg_k": pc.round(
-                    pc.divide(
-                        pc.cast(t["s"], pa.float64()),
-                        pc.cast(t["n"], pa.float64()),
-                    ),
-                    ndigits=6,
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_PROPS_EXTRACT = """
-SELECT event_type,
-       sum(regexp_extract(props, '"k": (\\d+)', 1)::BIGINT)::BIGINT
-         AS sum_k,
-       round(sum(regexp_extract(props, '"k": (\\d+)', 1)::BIGINT)::DOUBLE
-             / count(*), 6) AS avg_k
-FROM events GROUP BY event_type
 """
 
 
@@ -5856,58 +2855,6 @@ SELECT DISTINCT least(u, v) AS id_a, greatest(u, v) AS id_b FROM u
 """
 
 
-def q_group_quantiles(sf_dir: str):
-    """Exact per-group discrete quantiles (median + p90 per
-    event_type) on the same bounded cents histogram as
-    `value_quantiles`: distinct (event_type, cents) keys are bounded
-    by value range x group count, independent of row count."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(
-            t["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        df = (
-            pd.DataFrame(
-                {"event_type": t["event_type"].to_pylist(), "cents": cents}
-            )
-            .groupby(["event_type", "cents"], as_index=False)
-            .size()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    hist = (
-        _events(sf_dir, ["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "cents"])
-        .aggregate(Sum("size", alias_name="n"))
-        .to_pandas()
-        .sort_values(["event_type", "cents"])
-    )
-    out = {"event_type": [], "p50": [], "p90": []}
-    for et, g in hist.groupby("event_type", sort=True):
-        cum = g["n"].cumsum().to_numpy()
-        total = int(cum[-1])
-        cents = g["cents"].to_numpy()
-        out["event_type"].append(et)
-        for col, q in (("p50", 0.5), ("p90", 0.9)):
-            rank = int(np.ceil(q * total))
-            out[col].append(cents[np.searchsorted(cum, rank)] / 100.0)
-    return pa.table(
-        {
-            "event_type": pa.array(out["event_type"], type=pa.string()),
-            "p50": pa.array(out["p50"], type=pa.float64()),
-            "p90": pa.array(out["p90"], type=pa.float64()),
-        }
-    )
-
-
-SQL_GROUP_QUANTILES = """
-SELECT event_type, quantile_disc(value, 0.5) AS p50,
-       quantile_disc(value, 0.9) AS p90
-FROM events GROUP BY event_type
-"""
-
-
 STRATUM_N = 5
 
 
@@ -5958,243 +2905,6 @@ SELECT source, doc_id FROM r WHERE rn <= {STRATUM_N}
 """
 
 
-_Q5_LO = np.datetime64("1996-01-01", "us")
-_Q5_HI = np.datetime64("1998-01-01", "us")
-_Q5_REGION = "ASIA"
-
-
-def q_local_supplier_volume(sf_dir: str):
-    """TPC-H Q5 analog: revenue per nation where the customer and the
-    line's supplier share a nation, region-restricted. The six-table
-    join splits by side size: region/nation/supplier are broadcast
-    (read once on the driver, shipped as plain dicts in the batch-fn
-    closures — TPC-H dimension tables are small by construction; a
-    high-cardinality supplier side would go through bucket_join
-    instead), customer⋈orders and lineitem⋈orders are distributed
-    bucketed hash joins with per-batch partial aggregation before
-    every shuffle."""
-    import pyarrow.parquet as pq
-
-    from ..stages.join import bucket_join
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    region = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
-    rkey = region.loc[region.r_name == _Q5_REGION, "r_regionkey"].iloc[0]
-    asia = nation[nation.n_regionkey == rkey]
-    asia_keys = set(asia.n_nationkey.tolist())
-    nation_names = dict(zip(asia.n_nationkey, asia.n_name))
-    supp = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-    ).to_pandas()
-    supp_nation = dict(zip(supp.s_suppkey, supp.s_nationkey))
-
-    def cust_prep(t: pa.Table) -> pa.Table:
-        nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        keep = np.isin(nk, list(asia_keys))
-        return pa.table(
-            {
-                "c_custkey": pa.array(
-                    t["c_custkey"].to_numpy(zero_copy_only=False)[keep]
-                ),
-                "c_nationkey": pa.array(nk[keep].astype(np.int64)),
-            }
-        )
-
-    cust = read_parquet_clean(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    ).map_batches(cust_prep, batch_format="pyarrow")
-
-    def ord_prep(t: pa.Table) -> pa.Table:
-        ts = _epoch_us(t["o_orderdate"])
-        keep = (ts >= _Q5_LO.astype(np.int64)) & (
-            ts < _Q5_HI.astype(np.int64)
-        )
-        return pa.table(
-            {
-                "o_orderkey": pa.array(
-                    t["o_orderkey"].to_numpy(zero_copy_only=False)[keep]
-                ),
-                "o_custkey": pa.array(
-                    t["o_custkey"].to_numpy(zero_copy_only=False)[keep]
-                ),
-            }
-        )
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-        + ["o_orderdate"],
-    ).map_batches(ord_prep, batch_format="pyarrow")
-
-    qual = bucket_join(
-        orders,
-        cust,
-        left_on="o_custkey",
-        right_on="c_custkey",
-        left_schema={"o_custkey": pa.int64(), "o_orderkey": pa.int64()},
-        right_schema={"c_custkey": pa.int64(), "c_nationkey": pa.int64()},
-    ).select_columns(["o_orderkey", "c_nationkey"])
-
-    def li_prep(t: pa.Table) -> pa.Table:
-        sk = t["l_suppkey"].to_numpy(zero_copy_only=False)
-        s_nat = pd.Series(sk).map(supp_nation).to_numpy()
-        keep = np.isin(s_nat, list(asia_keys))
-        rev = (
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)
-            * (1.0 - t["l_discount"].to_numpy(zero_copy_only=False))
-        )[keep]
-        df = (
-            pd.DataFrame(
-                {
-                    "l_orderkey": t["l_orderkey"].to_numpy(
-                        zero_copy_only=False
-                    )[keep],
-                    "s_nationkey": s_nat[keep].astype(np.int64),
-                    "rev": rev,
-                }
-            )
-            .groupby(["l_orderkey", "s_nationkey"], as_index=False)["rev"]
-            .sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    ).map_batches(li_prep, batch_format="pyarrow")
-
-    joined = bucket_join(
-        li,
-        qual,
-        left_on="l_orderkey",
-        right_on="o_orderkey",
-        left_schema={
-            "l_orderkey": pa.int64(),
-            "s_nationkey": pa.int64(),
-            "rev": pa.float64(),
-        },
-        right_schema={"o_orderkey": pa.int64(), "c_nationkey": pa.int64()},
-    )
-
-    def nation_partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        df = df[df.s_nationkey == df.c_nationkey]
-        g = df.groupby("s_nationkey", as_index=False)["rev"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    agg = (
-        joined.map_batches(nation_partial, batch_format="pyarrow")
-        .groupby("s_nationkey")
-        .aggregate(Sum("rev", alias_name="rev"))
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        nk = t["s_nationkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "n_name": pa.array(
-                    pd.Series(nk).map(nation_names), type=pa.string()
-                ),
-                "revenue": pc.round(t["rev"], ndigits=4),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-SQL_LOCAL_SUPPLIER_VOLUME = f"""
-SELECT n_name,
-       round(sum(l_extendedprice * (1 - l_discount)), 4) AS revenue
-FROM customer, orders, lineitem, supplier, nation, region
-WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-  AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-  AND r_name = '{_Q5_REGION}'
-  AND o_orderdate >= TIMESTAMP '1996-01-01'
-  AND o_orderdate < TIMESTAMP '1998-01-01'
-GROUP BY n_name
-"""
-
-
-# --------------------------------------------------- grouping sets
-
-
-def q_rollup_events(sf_dir: str):
-    """GROUPING SETS rollup in ONE shuffle: counts and value sums at
-    three granularities — (event_type, day_mod7), (event_type), and
-    grand total — emitted from a single per-batch partial pass that
-    writes each input row into all three groupings (sentinels 'ALL' /
-    -1 stand in for aggregated-away dimensions, so no nulls reach the
-    driver's value hash). day_mod7 is arithmetic (epoch_days % 7), not
-    calendar dow — both engines compute it identically by construction."""
-    ev = read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
-    )
-
-    def partial(t: pa.Table) -> pa.Table:
-        et = np.asarray(t["event_type"].to_pylist(), dtype=object)
-        dow = (_epoch_us(t["ts"]) // 86_400_000_000) % 7
-        val = t["value"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"event_type": et, "day_mod7": dow, "v": val})
-        fine = df.groupby(
-            ["event_type", "day_mod7"], as_index=False
-        ).agg(n=("v", "size"), s=("v", "sum"))
-        mid = df.groupby("event_type", as_index=False).agg(
-            n=("v", "size"), s=("v", "sum")
-        )
-        mid["day_mod7"] = -1
-        total = pd.DataFrame(
-            {
-                "event_type": ["ALL"],
-                "day_mod7": [-1],
-                "n": [len(df)],
-                "s": [df["v"].sum()],
-            }
-        )
-        out = pd.concat([fine, mid, total], ignore_index=True)
-        return pa.table(
-            {
-                "event_type": pa.array(out["event_type"], type=pa.string()),
-                "day_mod7": pa.array(
-                    out["day_mod7"].astype(np.int64), type=pa.int64()
-                ),
-                "n": pa.array(out["n"].astype(np.int64), type=pa.int64()),
-                "s": pa.array(out["s"], type=pa.float64()),
-            }
-        )
-
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "day_mod7"])
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "event_type": t["event_type"],
-                "day_mod7": t["day_mod7"],
-                "n_events": pc.cast(t["n"], pa.int64()),
-                "sum_value": pc.round(t["s"], ndigits=4),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_ROLLUP_EVENTS = """
-SELECT coalesce(event_type, 'ALL') AS event_type,
-       coalesce(day_mod7, -1) AS day_mod7,
-       count(*)::BIGINT AS n_events,
-       round(sum(value), 4) AS sum_value
-FROM (
-  SELECT event_type,
-         (epoch(ts)::BIGINT // 86400) % 7 AS day_mod7,
-         value
-  FROM events
-)
-GROUP BY GROUPING SETS ((event_type, day_mod7), (event_type), ())
-"""
-
-
 # ------------------------------------------- Bloom incremental gate
 
 
@@ -6222,251 +2932,6 @@ def q_bloom_new_docs(sf_dir: str):
     return bloom_filter_new(
         fps, bm, "content_md5", m_bits=1 << 20
     ).select_columns(["doc_id"])
-
-
-# -------------------------------------------- approximate quantiles
-
-
-def q_approx_quantiles(sf_dir: str):
-    """KLL-sketch quantiles over events.value — the shuffle ships O(k)
-    weighted survivors per batch instead of the data (the exact
-    counterpart is q_value_quantiles, which buckets by value range).
-    Rows-only: the sketch's rank error (pytest-pinned <= ~2/k of rank)
-    is by design not bit-equal to exact SQL quantiles."""
-    from ..functions.sketch import kll_quantiles
-
-    ev = read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["value"]
-    )
-    return kll_quantiles(ev, "value", qs=(0.25, 0.5, 0.9, 0.99), k=256)
-
-
-# ------------------------------------------- returned-item revenue
-
-_Q10_LO = np.datetime64("1996-07-01", "us")
-_Q10_HI = np.datetime64("1997-01-01", "us")
-
-
-def q_returned_revenue(sf_dir: str):
-    """TPC-H Q10 analog: top-20 customers by revenue lost to returned
-    items in a 6-month window. Join plan by side size: orders and
-    lineitem are pruned at the read and pre-aggregated per batch
-    before each distributed bucket_join; the per-customer result
-    attaches customer attributes through a second bucket_join
-    (customer is a LARGE table at scale — never broadcast); nation is
-    the only broadcast side (25 rows by construction). The top-20 is
-    a partial-topk per batch, then one driver-sized sort."""
-    import pyarrow.parquet as pq
-
-    from ..stages.join import bucket_join
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    nation_names = dict(zip(nation.n_nationkey, nation.n_name))
-
-    def ord_prep(t: pa.Table) -> pa.Table:
-        ts = _epoch_us(t["o_orderdate"])
-        keep = (ts >= _Q10_LO.astype(np.int64)) & (
-            ts < _Q10_HI.astype(np.int64)
-        )
-        return pa.table(
-            {
-                "o_orderkey": pa.array(
-                    t["o_orderkey"].to_numpy(zero_copy_only=False)[keep]
-                ),
-                "o_custkey": pa.array(
-                    t["o_custkey"].to_numpy(zero_copy_only=False)[keep]
-                ),
-            }
-        )
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    ).map_batches(ord_prep, batch_format="pyarrow")
-
-    def li_prep(t: pa.Table) -> pa.Table:
-        keep = pc.equal(t["l_returnflag"], "R")
-        f = t.filter(keep)
-        rev = f["l_extendedprice"].to_numpy(zero_copy_only=False) * (
-            1.0 - f["l_discount"].to_numpy(zero_copy_only=False)
-        )
-        g = (
-            pd.DataFrame(
-                {
-                    "l_orderkey": f["l_orderkey"].to_numpy(
-                        zero_copy_only=False
-                    ),
-                    "rev": rev,
-                }
-            )
-            .groupby("l_orderkey", as_index=False)["rev"]
-            .sum()
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet",
-        columns=[
-            "l_orderkey",
-            "l_returnflag",
-            "l_extendedprice",
-            "l_discount",
-        ],
-    ).map_batches(li_prep, batch_format="pyarrow")
-
-    per_order = bucket_join(
-        li,
-        orders,
-        left_on="l_orderkey",
-        right_on="o_orderkey",
-        left_schema={"l_orderkey": pa.int64(), "rev": pa.float64()},
-        right_schema={"o_orderkey": pa.int64(), "o_custkey": pa.int64()},
-    )
-
-    def cust_partial(t: pa.Table) -> pa.Table:
-        g = (
-            t.select(["o_custkey", "rev"])
-            .to_pandas()
-            .groupby("o_custkey", as_index=False)["rev"]
-            .sum()
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata(None)
-
-    per_cust = (
-        per_order.map_batches(cust_partial, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("rev", alias_name="rev"))
-    )
-
-    cust = read_parquet_clean(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_name", "c_acctbal", "c_nationkey"],
-    )
-    attached = bucket_join(
-        per_cust,
-        cust,
-        left_on="o_custkey",
-        right_on="c_custkey",
-        left_schema={"o_custkey": pa.int64(), "rev": pa.float64()},
-        right_schema={
-            "c_custkey": pa.int64(),
-            "c_name": pa.string(),
-            "c_acctbal": pa.float64(),
-            "c_nationkey": pa.int64(),
-        },
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        nk = t["c_nationkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "c_custkey": t["o_custkey"],
-                "c_name": t["c_name"],
-                "revenue": pc.round(t["rev"], ndigits=4),
-                "c_acctbal": t["c_acctbal"],
-                "n_name": pa.array(
-                    pd.Series(nk).map(nation_names), type=pa.string()
-                ),
-            }
-        )
-
-    # partial top-20 per batch, then one tiny global sort
-    def partial_top(t: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            t,
-            sort_keys=[("revenue", "descending"), ("c_custkey", "ascending")],
-        )
-        return t.take(idx[:20])
-
-    return (
-        attached.map_batches(finish, batch_format="pyarrow")
-        .map_batches(partial_top, batch_format="pyarrow")
-        .sort(["revenue", "c_custkey"], descending=[True, False])
-        .limit(20)
-    )
-
-
-SQL_RETURNED_REVENUE = """
-SELECT c_custkey, c_name,
-       round(sum(l_extendedprice * (1 - l_discount)), 4) AS revenue,
-       c_acctbal, n_name
-FROM customer
-JOIN orders   ON c_custkey = o_custkey
-JOIN lineitem ON l_orderkey = o_orderkey
-JOIN nation   ON c_nationkey = n_nationkey
-WHERE o_orderdate >= TIMESTAMP '1996-07-01'
-  AND o_orderdate <  TIMESTAMP '1997-01-01'
-  AND l_returnflag = 'R'
-GROUP BY c_custkey, c_name, c_acctbal, n_name
-ORDER BY revenue DESC, c_custkey ASC
-LIMIT 20
-"""
-
-
-# ------------------------------------------------------- semi join
-
-
-def q_orders_with_returns(sf_dir: str):
-    """SEMI join (EXISTS): orders having at least one returned line,
-    via the join kernel's documented probe form — a left bucket_join
-    whose right side is per-bucket drop_duplicates on the key (a key's
-    rows all land in one bucket, so per-bucket distinct is globally
-    exact), then keep matched rows. Completes the join family
-    (inner/left/anti already oracle-checked)."""
-    from ..stages.join import bucket_join
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
-    )
-
-    def ret_keys(t: pa.Table) -> pa.Table:
-        f = t.filter(pc.equal(t["l_returnflag"], "R"))
-        # per-batch distinct — the in-bucket distinct finishes the job
-        keys = pc.unique(f["l_orderkey"].combine_chunks())
-        return pa.table(
-            {
-                "r_orderkey": keys,
-                "hit": pa.array(
-                    np.ones(len(keys), dtype=np.int64), type=pa.int64()
-                ),
-            }
-        )
-
-    returned = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_returnflag"]
-    ).map_batches(ret_keys, batch_format="pyarrow")
-
-    joined = bucket_join(
-        orders,
-        returned,
-        left_on="o_orderkey",
-        right_on="r_orderkey",
-        left_schema={
-            "o_orderkey": pa.int64(),
-            "o_custkey": pa.int64(),
-            "o_totalprice": pa.float64(),
-        },
-        right_schema={"r_orderkey": pa.int64(), "hit": pa.int64()},
-        how="left",
-        right_prepare=lambda df: df.drop_duplicates("r_orderkey"),
-    )
-    return joined.map_batches(
-        lambda t: t.filter(
-            pc.is_valid(t["hit"])
-        ).select(["o_orderkey", "o_custkey", "o_totalprice"]),
-        batch_format="pyarrow",
-    )
-
-
-SQL_ORDERS_WITH_RETURNS = """
-SELECT o_orderkey, o_custkey, o_totalprice
-FROM orders
-WHERE EXISTS (
-  SELECT 1 FROM lineitem
-  WHERE l_orderkey = o_orderkey AND l_returnflag = 'R'
-)
-"""
 
 
 # -------------------------------------------------- fuzzy A-B join
@@ -8524,338 +4989,6 @@ def q_lm_score(sf_dir: str):
     return fts.lm_score(_docs(sf_dir))
 
 
-def q_heavy_hitters(sf_dir: str):
-    """Misra-Gries heavy hitters over event_type. The distinct-key
-    count here is far below k, so the sketch is in its EXACT regime
-    and the oracle compares true counts; the approximate regime (skew,
-    compression, under-count bound) is pytest-pinned in
-    tests/test_sketch.py."""
-    from ..functions.sketch import mg_heavy_hitters
-
-    ev = read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["event_type"]
-    )
-    return mg_heavy_hitters(ev, "event_type", k=64, top_n=3)
-
-
-SQL_HEAVY_HITTERS = """
-SELECT event_type AS key, count(*)::BIGINT AS approx_count
-FROM events
-GROUP BY 1
-ORDER BY 2 DESC, 1 ASC
-LIMIT 3
-"""
-
-
-def q_heavy_hitters_cm(sf_dir: str):
-    """MG -> Count-Min composition (functions/sketch.py): Misra-Gries
-    finds the candidate keys (driver-sized, top_n rows), one Count-Min
-    pass re-estimates their frequencies without a second data shuffle.
-    Rows-only: CM is a one-sided overestimate (true <= est <=
-    true + eN/width w.h.p.), pytest-pinned in tests/test_sketch.py."""
-    from ..functions.sketch import cm_topk_estimates, mg_heavy_hitters
-
-    ev = read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["event_type"]
-    )
-    cands = [
-        r["key"]
-        for r in mg_heavy_hitters(
-            ev, "event_type", k=64, top_n=3
-        ).take_all()
-    ]
-    return cm_topk_estimates(ev, "event_type", sorted(cands))
-
-
-def q_join_size_cm(sf_dir: str):
-    """Join-cardinality estimation without the join (functions/
-    sketch.py cm_join_size): orders ⋈ lineitem on orderkey sized from
-    two Count-Min matrices — each side reduces to depth×width counts,
-    the estimate is the min-over-depth inner product. Rows-only
-    (one-sided overestimate, bound pytest-pinned in tests/
-    test_sketch.py); the exact size rides along for reference."""
-    import ray.data as _rd
-
-    from ..functions.sketch import cm_join_size
-
-    def keyed(path, col):
-        return read_parquet_clean(
-            f"{sf_dir}/{path}.parquet", columns=[col]
-        ).map_batches(
-            lambda t, c=col: pa.table(
-                {"k": pc.cast(t[c], pa.string())}
-            ),
-            batch_format="pyarrow",
-        )
-
-    est = cm_join_size(
-        keyed("orders", "o_orderkey"), "k",
-        keyed("lineitem", "l_orderkey"), "k",
-    )
-    exact = int(
-        read_parquet_clean(
-            f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"]
-        ).count()
-    )  # orders.o_orderkey is unique, so |join| = |lineitem|
-    return _rd.from_arrow(
-        pa.table(
-            {
-                "est_join_size": pa.array([est], type=pa.int64()),
-                "exact_join_size": pa.array([exact], type=pa.int64()),
-            }
-        )
-    )
-
-
-# time-decay aggregate: fixed reference day + rate shared verbatim
-# with the oracle (decay to a CONSTANT horizon keeps the partial sums
-# associative — the streaming-feature form of a windowed aggregate)
-DECAY_TREF_DAYS = 20089.0  # 2025-01-01
-DECAY_LAMBDA = 0.01  # per day
-
-
-def q_decayed_user_value(sf_dir: str):
-    """Exponentially time-decayed per-user value: Σ value·exp(−λ·age)
-    with age measured against a FIXED horizon, so each batch's partial
-    sums merge associatively through one groupby — the standard
-    recency-weighted engagement feature. Vectorized exp per batch;
-    round-4 output absorbs cross-engine summation-order drift."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        tdays = _epoch_us(t["ts"]) / 86400000000.0
-        w = np.exp(-DECAY_LAMBDA * (DECAY_TREF_DAYS - tdays))
-        df = pd.DataFrame(
-            {
-                "user_id": t["user_id"].to_numpy(zero_copy_only=False),
-                "dv": t["value"].to_numpy() * w,
-            }
-        )
-        g = df.groupby("user_id", as_index=False).agg(
-            n=("dv", "size"), dv=("dv", "sum")
-        )
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    ev = _events(sf_dir, ["ts", "user_id", "value"])
-    agg = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Sum("n", alias_name="n"), Sum("dv", alias_name="dv"))
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "user_id": t["user_id"],
-                "n_events": pc.cast(t["n"], pa.int64()),
-                "decayed_value": pa.array(
-                    np.round(t["dv"].to_numpy(), 4)
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_DECAYED_USER_VALUE = f"""
-SELECT user_id, count(*)::BIGINT AS n_events,
-       round(sum(value * exp(-{DECAY_LAMBDA}
-             * ({DECAY_TREF_DAYS} - epoch_us(ts) / 86400000000.0))), 4)
-         AS decayed_value
-FROM events GROUP BY user_id
-"""
-
-
-HIST_WIDTH = 50000.0
-
-
-def q_price_histogram(sf_dir: str):
-    """Equi-width histogram of o_totalprice (the profiling family's
-    distribution census): bin = floor(price/width) via identical
-    double arithmetic on both sides, per-batch partial (n, min, max)
-    rows, one tiny groupby — the table never leaves the workers."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        p = t["o_totalprice"].to_numpy()
-        df = pd.DataFrame(
-            {"bin": np.floor(p / HIST_WIDTH).astype(np.int64), "p": p}
-        )
-        g = df.groupby("bin", as_index=False).agg(
-            n=("p", "size"), lo=("p", "min"), hi=("p", "max")
-        )
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet", columns=["o_totalprice"]
-    )
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("bin")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Min("lo", alias_name="lo"),
-            Max("hi", alias_name="hi"),
-        )
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "bin": pc.cast(t["bin"], pa.int64()),
-                "n": pc.cast(t["n"], pa.int64()),
-                "lo": pc.round(t["lo"], ndigits=2),
-                "hi": pc.round(t["hi"], ndigits=2),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_PRICE_HISTOGRAM = f"""
-SELECT floor(o_totalprice / {HIST_WIDTH})::BIGINT AS bin,
-       count(*)::BIGINT AS n,
-       round(min(o_totalprice), 2) AS lo,
-       round(max(o_totalprice), 2) AS hi
-FROM orders GROUP BY bin
-"""
-
-
-# join-key discovery census: (table_a, col_a, table_b, col_b) pairs
-# whose distinct-value overlap is profiled — the true FK pairs score
-# jaccard ~1, the planted non-pair (user_id vs custkey) scores low
-OVERLAP_PAIRS = [
-    ("orders", "o_custkey", "customer", "c_custkey"),
-    ("lineitem", "l_partkey", "part", "p_partkey"),
-    ("lineitem", "l_orderkey", "orders", "o_orderkey"),
-    ("events", "user_id", "customer", "c_custkey"),
-]
-
-
-def q_column_overlap(sf_dir: str):
-    """Schema matching / join-key discovery (functions/profile.py
-    column_overlap): distinct-value Jaccard between candidate column
-    pairs across tables — one tagged groupby per pair (min/max side
-    tag per globally-distinct value), no join, no pair inventory."""
-    from ..functions.profile import column_overlap
-
-    parts = []
-    for ta, ca, tb, cb in OVERLAP_PAIRS:
-        a = read_parquet_clean(f"{sf_dir}/{ta}.parquet", columns=[ca])
-        b = read_parquet_clean(f"{sf_dir}/{tb}.parquet", columns=[cb])
-        parts.append(
-            column_overlap(a, ca, b, cb, f"{ta}.{ca}~{tb}.{cb}")
-        )
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
-
-
-def _overlap_branch(ta: str, ca: str, tb: str, cb: str) -> str:
-    label = f"{ta}.{ca}~{tb}.{cb}"
-    return f"""
-SELECT '{label}' AS pair,
-       count(a.v)::BIGINT AS n_a,
-       count(b.v)::BIGINT AS n_b,
-       count(CASE WHEN a.v IS NOT NULL AND b.v IS NOT NULL
-                  THEN 1 END)::BIGINT AS n_both,
-       round(count(CASE WHEN a.v IS NOT NULL AND b.v IS NOT NULL
-                        THEN 1 END)::DOUBLE / count(*), 6) AS jaccard
-FROM (SELECT DISTINCT {ca} AS v FROM {ta}) a
-FULL OUTER JOIN (SELECT DISTINCT {cb} AS v FROM {tb}) b ON a.v = b.v
-"""
-
-
-SQL_COLUMN_OVERLAP = " UNION ALL ".join(
-    _overlap_branch(*p) for p in OVERLAP_PAIRS
-)
-
-
-def q_price_deciles(sf_dir: str):
-    """Global equi-frequency binning (deciles of o_totalprice): the
-    discretization step feature pipelines run before bucketized
-    models. Rides stages/order.py global_rank (sampled range
-    partition + O(#buckets) offsets — exact global order, one
-    shuffle); ties broken by orderkey via a packed
-    (price_cents, orderkey) int64 so both sides share a total order;
-    decile = (rank-1)*10 // n, reported as per-decile counts and
-    price bounds."""
-    from ..stages.order import global_rank
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_totalprice"],
-    )
-    n_total = orders.count()
-
-    def pack(t: pa.Table) -> pa.Table:
-        price = t["o_totalprice"].to_numpy()
-        cents = np.rint(price * 100).astype(np.int64)
-        okey = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "okey": pa.array(cents * (1 << 33) + okey),
-                "o_totalprice": t["o_totalprice"],
-            }
-        )
-
-    ranked = global_rank(
-        orders.map_batches(pack, batch_format="pyarrow"), "okey"
-    )
-
-    def per_batch(t: pa.Table) -> pa.Table:
-        r = t["rank"].to_numpy(zero_copy_only=False)
-        dec = (r - 1) * 10 // n_total
-        p = t["o_totalprice"].to_numpy()
-        df = pd.DataFrame({"decile": dec, "p": p})
-        g = df.groupby("decile", as_index=False).agg(
-            n=("p", "size"), lo=("p", "min"), hi=("p", "max")
-        )
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    agg = (
-        ranked.map_batches(per_batch, batch_format="pyarrow")
-        .groupby("decile")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Min("lo", alias_name="lo"),
-            Max("hi", alias_name="hi"),
-        )
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "decile": pc.cast(t["decile"], pa.int64()),
-                "n": pc.cast(t["n"], pa.int64()),
-                "lo": pc.round(t["lo"], ndigits=2),
-                "hi": pc.round(t["hi"], ndigits=2),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_PRICE_DECILES = """
-WITH r AS (
-  SELECT o_totalprice,
-         row_number() OVER (ORDER BY o_totalprice, o_orderkey) AS rn,
-         count(*) OVER () AS n
-  FROM orders
-)
-SELECT ((rn - 1) * 10 // n)::BIGINT AS decile,
-       count(*)::BIGINT AS n,
-       round(min(o_totalprice), 2) AS lo,
-       round(max(o_totalprice), 2) AS hi
-FROM r GROUP BY decile
-"""
-
-
-# ------------------------------------------------------------ registry
-
-# name -> (ray_fn, oracle_sql | None)
 # ------------------------------------------- consolidated driver twins
 #
 # The driver's correctness gate samples at most 50 queries per round;
@@ -8894,132 +5027,6 @@ WITH a AS ({fts.doc_stats_sql()}),
 SELECT a.*, b.n_ws_tokens, b.n_bpe_tokens,
        c.top_bigram_frac, c.dup_word_frac
 FROM a JOIN b USING (doc_id) JOIN c USING (doc_id)
-"""
-
-
-def q_running_totals(sf_dir: str):
-    """running_count + running_sum in ONE bucketed pass: per-(user,
-    event_type) occurrence index AND per-user cumulative value sum,
-    both ordered by (ts, event_id). Same bucket-and-segment shape as
-    the individual queries (one hash(user)%K shuffle, two lexsorts +
-    one cumsum inside the bucket kernel)."""
-    from ..stages.bucketed import bucketed_apply, segments
-
-    def kernel(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
-        val = t["value"].to_numpy(zero_copy_only=False)
-        ets = pd.factorize(
-            np.asarray(t["event_type"].to_pylist(), dtype=object)
-        )[0]
-        tsr = _epoch_us(t["ts"])
-        # occurrence index: grouped by (user, etype), ordered (ts, eid)
-        o2 = np.lexsort((eid, tsr, ets, uid))
-        starts2, sizes2 = segments(uid[o2], ets[o2])
-        occ_seq = np.arange(n) - np.repeat(starts2, sizes2) + 1
-        occ = np.empty(n, dtype=np.int64)
-        occ[o2] = occ_seq
-        # running sum: grouped by user, ordered (ts, eid); left-fold
-        # order matches the SQL window's streaming accumulation
-        o1 = np.lexsort((eid, tsr, uid))
-        starts1, sizes1 = segments(uid[o1])
-        cs = np.cumsum(val[o1])
-        base = np.concatenate([[0.0], cs])[starts1]
-        run_seq = cs - np.repeat(base, sizes1)
-        run = np.empty(n, dtype=np.float64)
-        run[o1] = run_seq
-        return pa.table(
-            {
-                "event_id": pa.array(eid, type=pa.int64()),
-                "occ_idx": pa.array(occ, type=pa.int64()),
-                "running_value": pa.array(
-                    np.round(run, 6), type=pa.float64()
-                ),
-            }
-        )
-
-    ev = _events(
-        sf_dir, ["event_id", "user_id", "event_type", "ts", "value"]
-    )
-    return bucketed_apply(ev, "user_id", kernel)
-
-
-SQL_RUNNING_TOTALS = """
-SELECT event_id,
-       row_number() OVER (
-         PARTITION BY user_id, event_type ORDER BY ts, event_id
-       )::BIGINT AS occ_idx,
-       round(sum(value) OVER (
-         PARTITION BY user_id ORDER BY ts, event_id
-         ROWS UNBOUNDED PRECEDING
-       ), 6) AS running_value
-FROM events
-"""
-
-
-def q_window_hopping(sf_dir: str):
-    """Tumbling + sliding windows as one result (kind column): the two
-    hop-assignment kernels share the downstream groupby shape, so the
-    union costs one extra literal column per row."""
-
-    def tag(kind):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.add_column(
-                0, "kind", pa.array([kind] * t.num_rows, type=pa.string())
-            )
-
-        return fn
-
-    a = q_window_tumbling(sf_dir).map_batches(
-        tag("tumbling"), batch_format="pyarrow"
-    )
-    b = q_window_sliding(sf_dir).map_batches(
-        tag("sliding"), batch_format="pyarrow"
-    )
-    return a.union(b)
-
-
-SQL_WINDOW_HOPPING = f"""
-SELECT 'tumbling' AS kind, * FROM ({SQL_WINDOW_TUMBLING})
-UNION ALL
-SELECT 'sliding' AS kind, * FROM ({SQL_WINDOW_SLIDING})
-"""
-
-
-def q_quantiles(sf_dir: str):
-    """Global + per-group exact discrete quantiles in long format
-    (scope = '_all_' or the event_type). Both legs reuse the bounded
-    cents-histogram shape of the individual queries."""
-    glob = q_value_quantiles(sf_dir)
-    grp = q_group_quantiles(sf_dir)
-    scopes = ["_all_"] * glob.num_rows
-    qs = glob["q"].to_pylist()
-    vals = glob["qvalue"].to_pylist()
-    for et, p50, p90 in zip(
-        grp["event_type"].to_pylist(),
-        grp["p50"].to_pylist(),
-        grp["p90"].to_pylist(),
-    ):
-        scopes += [et, et]
-        qs += [0.5, 0.9]
-        vals += [p50, p90]
-    return pa.table(
-        {
-            "scope": pa.array(scopes, type=pa.string()),
-            "q": pa.array(qs, type=pa.float64()),
-            "qvalue": pa.array(vals, type=pa.float64()),
-        }
-    )
-
-
-SQL_QUANTILES = f"""
-SELECT '_all_' AS scope, q, qvalue FROM ({SQL_VALUE_QUANTILES})
-UNION ALL
-SELECT event_type AS scope,
-       unnest([0.5, 0.9]) AS q,
-       unnest([p50, p90]) AS qvalue
-FROM ({SQL_GROUP_QUANTILES})
 """
 
 
@@ -9069,124 +5076,6 @@ UNION ALL
 SELECT 'lev' AS method, c_custkey AS l_id, c_custkey AS r_id,
        lev::DOUBLE AS score
 FROM ({SQL_EDIT_DISTANCE_NAMES})
-"""
-
-
-def q_profile_orders(sf_dir: str):
-    """Per-column data-quality profile of the orders table (nulls,
-    exact distinct, min/max; timestamps as epoch micros) — see
-    functions/profile.py. Oracle: one UNION ALL branch per column."""
-    from ..functions.profile import profile_table
-
-    orders = read_parquet_clean(f"{sf_dir}/orders.parquet")
-    return profile_table(
-        orders,
-        num_cols=["o_orderkey", "o_custkey", "o_totalprice"],
-        str_cols=["o_orderstatus", "o_orderpriority"],
-        ts_cols=["o_orderdate"],
-    )
-
-
-def _profile_sql_branch(col: str, kind: str) -> str:
-    if kind == "num":
-        expr = col
-    elif kind == "ts":
-        expr = f"epoch_us({col})"
-    if kind in ("num", "ts"):
-        return f"""
-SELECT '{col}' AS col, count(*)::BIGINT AS n_rows,
-       (count(*) - count({col}))::BIGINT AS n_null,
-       count(DISTINCT {col})::BIGINT AS n_distinct,
-       min({expr})::DOUBLE AS min_num, max({expr})::DOUBLE AS max_num,
-       '' AS min_str, '' AS max_str
-FROM orders"""
-    return f"""
-SELECT '{col}' AS col, count(*)::BIGINT AS n_rows,
-       (count(*) - count({col}))::BIGINT AS n_null,
-       count(DISTINCT {col})::BIGINT AS n_distinct,
-       0.0 AS min_num, 0.0 AS max_num,
-       min({col}) AS min_str, max({col}) AS max_str
-FROM orders"""
-
-
-SQL_PROFILE_ORDERS = " UNION ALL ".join(
-    [
-        _profile_sql_branch("o_orderkey", "num"),
-        _profile_sql_branch("o_custkey", "num"),
-        _profile_sql_branch("o_totalprice", "num"),
-        _profile_sql_branch("o_orderdate", "ts"),
-        _profile_sql_branch("o_orderstatus", "str"),
-        _profile_sql_branch("o_orderpriority", "str"),
-    ]
-)
-
-
-FUNNEL_STEPS = ("view", "click", "purchase")
-
-
-def q_event_funnel(sf_dir: str):
-    """Per-user funnel depth for the ordered step sequence
-    view -> click -> purchase with STRICTLY-AFTER semantics: step k
-    counts only if an event of its type occurs strictly after the
-    earliest valid completion of step k-1. The greedy-earliest
-    choice (first view, first click after it, first purchase after
-    that) reaches maximal depth by the standard exchange argument, so
-    it equals 'exists an increasing subsequence' — which is what the
-    nested min-ts SQL oracle computes. One shuffle on hash(user_id);
-    the per-bucket kernel is three masked pandas groupby-mins plus a
-    merge — no per-user Python."""
-    from ..stages.bucketed import bucketed_apply
-
-    def kernel(t: pa.Table) -> pa.Table:
-        df = t.select(["user_id", "ts", "event_type"]).to_pandas()
-        users = df["user_id"].drop_duplicates().sort_values()
-        prev = None  # Series: user -> ts of previous step completion
-        depth = pd.Series(0, index=users.values, dtype=np.int64)
-        for k, step in enumerate(FUNNEL_STEPS, start=1):
-            sub = df[df["event_type"] == step]
-            if prev is not None:
-                lim = sub["user_id"].map(prev)
-                sub = sub[sub["ts"] > lim]  # NaT limit -> False: gated
-            cur = sub.groupby("user_id")["ts"].min()
-            depth.loc[cur.index] = k
-            prev = cur
-        return pa.table(
-            {
-                "user_id": pa.array(depth.index.values.astype(np.int64)),
-                "depth": pa.array(depth.values),
-            }
-        )
-
-    ev = read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
-    )
-    return bucketed_apply(ev, "user_id", kernel, num_buckets=32)
-
-
-SQL_EVENT_FUNNEL = f"""
-WITH v AS (
-  SELECT user_id, min(ts) AS t1 FROM events
-  WHERE event_type = '{FUNNEL_STEPS[0]}' GROUP BY user_id
-),
-c AS (
-  SELECT e.user_id, min(e.ts) AS t2
-  FROM events e JOIN v ON v.user_id = e.user_id AND e.ts > v.t1
-  WHERE e.event_type = '{FUNNEL_STEPS[1]}' GROUP BY e.user_id
-),
-p AS (
-  SELECT e.user_id, min(e.ts) AS t3
-  FROM events e JOIN c ON c.user_id = e.user_id AND e.ts > c.t2
-  WHERE e.event_type = '{FUNNEL_STEPS[2]}' GROUP BY e.user_id
-)
-SELECT u.user_id,
-       (CASE WHEN p.user_id IS NOT NULL THEN 3
-             WHEN c.user_id IS NOT NULL THEN 2
-             WHEN v.user_id IS NOT NULL THEN 1
-             ELSE 0 END)::BIGINT AS depth
-FROM (SELECT DISTINCT user_id FROM events) u
-LEFT JOIN v USING (user_id)
-LEFT JOIN c USING (user_id)
-LEFT JOIN p USING (user_id)
 """
 
 
@@ -9448,449 +5337,6 @@ GROUP BY sd.cid
 )
 
 
-def q_part_kcore(sf_dir: str):
-    """3-core of the part co-purchase graph by 8-round synchronous
-    peeling (functions/graph.py kcore); the round count is shared
-    verbatim with the recursive-CTE oracle so both sides agree by
-    construction. Surviving nodes report their within-core degree."""
-    from ..functions.graph import cooccurrence_edges, kcore
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    )
-    edges = cooccurrence_edges(li, "l_orderkey", "l_partkey")
-    out = kcore(edges, k=3, rounds=8)
-    return out.map_batches(
-        lambda t: t.rename_columns(["partkey", "core_degree"]),
-        batch_format="pyarrow",
-    )
-
-
-SQL_PART_KCORE = """
-WITH RECURSIVE
-e AS (
-  SELECT DISTINCT l1.l_partkey AS a, l2.l_partkey AS b
-  FROM lineitem l1
-  JOIN lineitem l2
-    ON l1.l_orderkey = l2.l_orderkey AND l1.l_partkey < l2.l_partkey
-),
-dir AS (SELECT a AS s, b AS t FROM e UNION ALL SELECT b, a FROM e),
-surv AS (
-  SELECT 0 AS iter, s, t FROM dir
-  UNION ALL
-  SELECT p.iter + 1, p.s, p.t
-  FROM surv p
-  JOIN (SELECT s AS n, count(*) AS d FROM surv WHERE iter < 8 GROUP BY s) ds
-    ON ds.n = p.s AND ds.d >= 3
-  JOIN (SELECT s AS n, count(*) AS d FROM surv WHERE iter < 8 GROUP BY s) dt
-    ON dt.n = p.t AND dt.d >= 3
-  WHERE p.iter < 8
-)
-SELECT s AS partkey, count(*)::BIGINT AS core_degree
-FROM surv WHERE iter = 8 GROUP BY s
-"""
-
-
-TREND_CX = 19700.0  # days-since-epoch center (fixed, shared with SQL)
-TREND_CY = 250000.0  # totalprice center
-
-
-def q_segment_trend(sf_dir: str):
-    """Per-segment least-squares revenue trend: slope of o_totalprice
-    over order date (days), computed from five mergeable per-batch
-    partial sums (n, Σx, Σy, Σxy, Σx²) — the map-side-combine shape
-    of every distributed regression. Both sides center x and y by
-    FIXED constants before summing (slope is shift-invariant): the
-    raw regr_slope moment formula cancels two ~1e16 products and a
-    nondeterministic summation order would poke through round-6;
-    centered, the residual order-drift is ~1e-11 of the slope."""
-    import pyarrow.parquet as pq
-
-    from ..stages.broadcast import get_broadcast, put_broadcast
-
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    seg_series = pd.Series(
-        cust["c_mktsegment"].to_pylist(),
-        index=cust["c_custkey"].to_numpy(zero_copy_only=False),
-    )
-    ref = put_broadcast(seg_series)
-
-    def partial(t: pa.Table) -> pa.Table:
-        m = get_broadcast(ref)
-        seg = pd.Series(
-            t["o_custkey"].to_numpy(zero_copy_only=False)
-        ).map(m)
-        x = (
-            pc.cast(
-                pc.cast(t["o_orderdate"], pa.timestamp("us")), pa.int64()
-            ).to_numpy()
-            / 86400000000.0
-            - TREND_CX
-        )
-        y = t["o_totalprice"].to_numpy() - TREND_CY
-        df = pd.DataFrame(
-            {"seg": seg, "x": x, "y": y, "xy": x * y, "xx": x * x}
-        )
-        g = df.groupby("seg", as_index=False).agg(
-            n=("x", "size"),
-            sx=("x", "sum"),
-            sy=("y", "sum"),
-            sxy=("xy", "sum"),
-            sxx=("xx", "sum"),
-        )
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_totalprice", "o_orderdate"],
-    )
-    agg = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("seg")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sx", alias_name="sx"),
-            Sum("sy", alias_name="sy"),
-            Sum("sxy", alias_name="sxy"),
-            Sum("sxx", alias_name="sxx"),
-        )
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        n = t["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        sx = t["sx"].to_numpy(zero_copy_only=False)
-        sy = t["sy"].to_numpy(zero_copy_only=False)
-        sxy = t["sxy"].to_numpy(zero_copy_only=False)
-        sxx = t["sxx"].to_numpy(zero_copy_only=False)
-        slope = np.round((n * sxy - sx * sy) / (n * sxx - sx * sx), 6)
-        return pa.table(
-            {
-                "c_mktsegment": t["seg"],
-                "n_orders": pc.cast(t["n"], pa.int64()),
-                "slope": pa.array(slope),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-SQL_SEGMENT_TREND = f"""
-WITH j AS (
-  SELECT c.c_mktsegment AS seg,
-         epoch_us(o.o_orderdate) / 86400000000.0 - {TREND_CX} AS x,
-         o.o_totalprice - {TREND_CY} AS y
-  FROM orders o JOIN customer c ON c.c_custkey = o.o_custkey
-),
-a AS (
-  SELECT seg, count(*) AS n, sum(x) AS sx, sum(y) AS sy,
-         sum(x * y) AS sxy, sum(x * x) AS sxx
-  FROM j GROUP BY seg
-)
-SELECT seg AS c_mktsegment, n::BIGINT AS n_orders,
-       round((n * sxy - sx * sy) / (n * sxx - sx * sx), 6) AS slope
-FROM a
-"""
-
-
-# z-score anomaly flags: centering constant + cut shared verbatim
-# with the oracle (the raw E[y^2]-E[y]^2 form cancels ~1e10 products;
-# centered near the data's scale the residual drift is ~1e-16 rel).
-OUTLIER_C = 150000.0
-# near-uniform synthetic prices bound |z| at sqrt(3)≈1.73 — cut at
-# 1.5 so the flagged tail is non-empty at every sf (a Gaussian-tailed
-# production column would use the usual 2.5-3)
-OUTLIER_Z = 1.5
-
-
-def q_price_outliers(sf_dir: str):
-    """Per-group z-score outlier flags over orders (group =
-    o_orderpriority): pass 1 reduces the table to five mergeable
-    moment rows (n, Σ(y-c), Σ(y-c)²) via map-side partials + one tiny
-    groupby; the O(#groups) stats table broadcasts back and pass 2
-    flags |z| > OUTLIER_Z rows in one vectorized map_batches — the
-    standard two-pass anomaly detector; nothing driver-sized but the
-    O(#groups) stats."""
-    from ..stages.broadcast import get_broadcast, put_broadcast
-
-    def moments(t: pa.Table) -> pa.Table:
-        y = t["o_totalprice"].to_numpy() - OUTLIER_C
-        df = pd.DataFrame(
-            {"grp": t["o_orderpriority"].to_numpy(zero_copy_only=False),
-             "y": y, "yy": y * y}
-        )
-        g = df.groupby("grp", as_index=False).agg(
-            n=("y", "size"), s1=("y", "sum"), s2=("yy", "sum")
-        )
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    def orders():
-        return read_parquet_clean(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_orderkey", "o_orderpriority", "o_totalprice"],
-        )
-
-    stats = (
-        orders()
-        .map_batches(moments, batch_format="pyarrow")
-        .groupby("grp")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("s1", alias_name="s1"),
-            Sum("s2", alias_name="s2"),
-        )
-        .to_pandas()
-    )
-    mu = (stats.s1 / stats.n).to_numpy()
-    sd = np.sqrt(stats.s2 / stats.n - (stats.s1 / stats.n) ** 2)
-    lut = {
-        g: (m, s) for g, m, s in zip(stats.grp, mu, sd.to_numpy())
-    }
-    ref = put_broadcast(lut)
-
-    def flag(t: pa.Table) -> pa.Table:
-        m = get_broadcast(ref)
-        grp = t["o_orderpriority"].to_numpy(zero_copy_only=False)
-        mus = np.array([m[g][0] for g in pd.unique(grp)])
-        sds = np.array([m[g][1] for g in pd.unique(grp)])
-        codes = pd.Categorical(grp, categories=pd.unique(grp)).codes
-        y = t["o_totalprice"].to_numpy() - OUTLIER_C
-        z = (y - mus[codes]) / sds[codes]
-        keep = np.abs(z) > OUTLIER_Z
-        sub = t.filter(pa.array(keep))
-        return pa.table(
-            {
-                "o_orderkey": sub["o_orderkey"],
-                "o_orderpriority": sub["o_orderpriority"],
-                "o_totalprice": pc.round(sub["o_totalprice"], ndigits=2),
-                "z": pa.array(np.round(z[keep], 6)),
-            }
-        )
-
-    return orders().map_batches(flag, batch_format="pyarrow")
-
-
-SQL_PRICE_OUTLIERS = f"""
-WITH a AS (
-  SELECT o_orderpriority AS grp, count(*) AS n,
-         sum(o_totalprice - {OUTLIER_C}) AS s1,
-         sum((o_totalprice - {OUTLIER_C}) * (o_totalprice - {OUTLIER_C}))
-           AS s2
-  FROM orders GROUP BY grp
-),
-z AS (
-  SELECT o.o_orderkey, o.o_orderpriority, o.o_totalprice,
-         (o.o_totalprice - {OUTLIER_C} - a.s1 / a.n)
-           / sqrt(a.s2 / a.n - (a.s1 / a.n) * (a.s1 / a.n)) AS zv
-  FROM orders o JOIN a ON a.grp = o.o_orderpriority
-)
-SELECT o_orderkey, o_orderpriority,
-       round(o_totalprice, 2) AS o_totalprice, round(zv, 6) AS z
-FROM z WHERE abs(zv) > {OUTLIER_Z}
-"""
-
-
-# candidate FDs audited over orders: (name, lhs column, rhs column).
-# orderkey→custkey genuinely holds (violation_rows = 0); the custkey
-# FDs genuinely fail — the census shape is Huhtala/TANE's g3 repair
-# metric (min rows to delete to make the FD hold), distributed.
-FD_CANDIDATES = [
-    ("custkey->priority", "o_custkey", "o_orderpriority"),
-    ("custkey->status", "o_custkey", "o_orderstatus"),
-    ("orderkey->custkey", "o_orderkey", "o_custkey"),
-]
-
-
-def q_fd_violations(sf_dir: str):
-    """Functional-dependency violation census: for each candidate FD
-    lhs→rhs, the number of lhs groups, how many host >1 distinct rhs,
-    and the g3 repair cost Σ(n_lhs − majority_rhs_count). One tagged
-    pass emits per-batch (fd, lhs, rhs, partial-count) rows for all
-    FDs at once; shuffle 1 sums exact pair counts, shuffle 2 reduces
-    per-lhs (sum, max), and an O(#FD) groupby finishes — counts only,
-    never a row inventory, so skewed lhs keys cost one combiner row
-    per batch."""
-
-    def pairs(t: pa.Table) -> pa.Table:
-        frames = []
-        for name, lhs, rhs in FD_CANDIDATES:
-            df = pd.DataFrame(
-                {
-                    "lhs": np.asarray(
-                        t[lhs].to_numpy(zero_copy_only=False), dtype=object
-                    ).astype(str),
-                    "rhs": np.asarray(
-                        t[rhs].to_numpy(zero_copy_only=False), dtype=object
-                    ).astype(str),
-                }
-            )
-            g = df.groupby(["lhs", "rhs"], as_index=False).size()
-            g.insert(0, "fd", name)
-            frames.append(g)
-        out = pd.concat(frames, ignore_index=True).rename(
-            columns={"size": "c"}
-        )
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    cols = sorted({c for _n, l, r in FD_CANDIDATES for c in (l, r)})
-    orders = read_parquet_clean(
-        f"{sf_dir}/orders.parquet", columns=cols
-    )
-    cnt = (
-        orders.map_batches(pairs, batch_format="pyarrow")
-        .groupby(["fd", "lhs", "rhs"])
-        .sum("c")
-    )
-
-    def per_lhs_partial(t: pa.Table) -> pa.Table:
-        df = pa.table(
-            {
-                "fd": t["fd"],
-                "lhs": t["lhs"],
-                "c": t["sum(c)"],
-            }
-        ).to_pandas()
-        g = df.groupby(["fd", "lhs"], as_index=False).agg(
-            n=("c", "sum"), mx=("c", "max")
-        )
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    per_lhs = (
-        cnt.map_batches(per_lhs_partial, batch_format="pyarrow")
-        .groupby(["fd", "lhs"])
-        .aggregate(Sum("n", alias_name="n"), Max("mx", alias_name="mx"))
-    )
-
-    def fd_partial(t: pa.Table) -> pa.Table:
-        n = t["n"].to_numpy(zero_copy_only=False)
-        mx = t["mx"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
-            {
-                "fd": t["fd"].to_numpy(zero_copy_only=False),
-                "g": np.ones(len(n), dtype=np.int64),
-                "v": (mx < n).astype(np.int64),
-                "r": n - mx,
-            }
-        )
-        g = df.groupby("fd", as_index=False).sum()
-        return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    agg = (
-        per_lhs.map_batches(fd_partial, batch_format="pyarrow")
-        .groupby("fd")
-        .aggregate(
-            Sum("g", alias_name="g"),
-            Sum("v", alias_name="v"),
-            Sum("r", alias_name="r"),
-        )
-    )
-    return agg.map_batches(
-        lambda t: pa.table(
-            {
-                "fd": t["fd"],
-                "n_groups": pc.cast(t["g"], pa.int64()),
-                "violating_groups": pc.cast(t["v"], pa.int64()),
-                "violation_rows": pc.cast(t["r"], pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_FD_VIOLATIONS = """
-WITH pairs AS (
-  SELECT 'custkey->priority' AS fd, o_custkey::VARCHAR AS lhs,
-         o_orderpriority::VARCHAR AS rhs FROM orders
-  UNION ALL
-  SELECT 'custkey->status', o_custkey::VARCHAR,
-         o_orderstatus::VARCHAR FROM orders
-  UNION ALL
-  SELECT 'orderkey->custkey', o_orderkey::VARCHAR,
-         o_custkey::VARCHAR FROM orders
-),
-cnt AS (
-  SELECT fd, lhs, rhs, count(*) AS c FROM pairs GROUP BY fd, lhs, rhs
-),
-per_lhs AS (
-  SELECT fd, lhs, sum(c) AS n, max(c) AS mx FROM cnt GROUP BY fd, lhs
-)
-SELECT fd, count(*)::BIGINT AS n_groups,
-       sum(CASE WHEN mx < n THEN 1 ELSE 0 END)::BIGINT
-         AS violating_groups,
-       sum(n - mx)::BIGINT AS violation_rows
-FROM per_lhs GROUP BY fd
-"""
-
-
-def q_part_pagerank(sf_dir: str):
-    """10-iteration PageRank over the part co-purchase graph
-    (functions/graph.py pagerank — iterative driver loop, per-round
-    rank-onto-edges bucket_join + one destination groupby; ranks
-    round to 1e-12 each iteration on BOTH sides so partial-sum order
-    can't drift the value hash). Oracle: DuckDB recursive CTE with
-    the identical per-iteration rounding."""
-    from ..functions.graph import cooccurrence_edges, pagerank
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    )
-    edges = cooccurrence_edges(li, "l_orderkey", "l_partkey")
-    pr = pagerank(edges, damping=0.85, iters=10, round_dp=12)
-    return pr.map_batches(
-        lambda t: pa.table(
-            {
-                "partkey": t["node"],
-                "rank": pc.round(t["rank"], ndigits=6),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_PART_PAGERANK = """
-WITH RECURSIVE
-e AS (
-  SELECT DISTINCT l1.l_partkey AS a, l2.l_partkey AS b
-  FROM lineitem l1
-  JOIN lineitem l2
-    ON l1.l_orderkey = l2.l_orderkey AND l1.l_partkey < l2.l_partkey
-),
-dir AS (SELECT a AS s, b AS t FROM e UNION ALL SELECT b, a FROM e),
-deg AS (SELECT s AS n, count(*) AS d FROM dir GROUP BY s),
-pr AS (
-  SELECT 0 AS iter, n,
-         round(1.0 / (SELECT count(*) FROM deg), 12) AS r
-  FROM deg
-  UNION ALL
-  SELECT c.iter + 1, dg.n,
-         round((1.0 - 0.85) / (SELECT count(*) FROM deg)
-               + 0.85 * COALESCE(c2.s, 0.0), 12)
-  FROM deg dg
-  LEFT JOIN (
-    SELECT p.iter, dd.t AS n, sum(p.r / pd.d) AS s
-    FROM pr p
-    JOIN dir dd ON dd.s = p.n
-    JOIN deg pd ON pd.n = p.n
-    WHERE p.iter < 10
-    GROUP BY p.iter, dd.t
-  ) c2 ON c2.n = dg.n
-  CROSS JOIN (SELECT DISTINCT iter FROM pr WHERE iter < 10) c
-)
-SELECT n AS partkey, round(r, 6) AS rank FROM pr WHERE iter = 10
-"""
-
-
 def q_token_pmi(sf_dir: str):
     """PMI collocations over the documents table — see
     functions/textstats.py pmi_collocations (Church-Hanks doc-level
@@ -9909,67 +5355,6 @@ def _sql_token_pmi() -> str:
     return pmi_collocations_sql()
 
 
-def q_part_triangles(sf_dir: str):
-    """Per-part triangle count + local clustering coefficient over
-    the co-purchase graph (parts linked when they share an order) —
-    distributed degree-ordered wedge counting (functions/graph.py
-    triangle_stats; Suri-Vassilvitskii WWW 2011 shuffle shape) over
-    the distinct-edge builder `cooccurrence_edges`. The structural
-    twin of `cluster_cohesion`: a cliquey neighborhood scores 1.0, a
-    star/chain scores 0. Oracle: exact 3-way edge self-join in DuckDB
-    over the same distinct co-occurrence edges."""
-    from ..functions.graph import cooccurrence_edges, triangle_stats
-
-    li = read_parquet_clean(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
-    )
-    edges = cooccurrence_edges(li, "l_orderkey", "l_partkey")
-    out = triangle_stats(edges)
-    return out.map_batches(
-        lambda t: t.rename_columns(
-            ["partkey", "degree", "triangles", "clustering_coef"]
-        ),
-        batch_format="pyarrow",
-    )
-
-
-SQL_PART_TRIANGLES = """
-WITH e AS (
-  SELECT DISTINCT l1.l_partkey AS a, l2.l_partkey AS b
-  FROM lineitem l1
-  JOIN lineitem l2
-    ON l1.l_orderkey = l2.l_orderkey AND l1.l_partkey < l2.l_partkey
-),
-deg AS (
-  SELECT n, count(*) AS d
-  FROM (SELECT a AS n FROM e UNION ALL SELECT b FROM e)
-  GROUP BY n
-),
-tri AS (
-  SELECT e1.a AS x, e1.b AS y, e2.b AS z
-  FROM e e1
-  JOIN e e2 ON e1.b = e2.a
-  JOIN e e3 ON e3.a = e1.a AND e3.b = e2.b
-),
-tcnt AS (
-  SELECT n, count(*) AS t
-  FROM (
-    SELECT x AS n FROM tri
-    UNION ALL SELECT y FROM tri
-    UNION ALL SELECT z FROM tri
-  )
-  GROUP BY n
-)
-SELECT deg.n AS partkey,
-       deg.d::BIGINT AS degree,
-       COALESCE(tcnt.t, 0)::BIGINT AS triangles,
-       round(2.0 * COALESCE(tcnt.t, 0) / (deg.d * (deg.d - 1.0)), 6)
-         AS clustering_coef
-FROM deg LEFT JOIN tcnt ON deg.n = tcnt.n
-WHERE deg.d >= 2
-"""
-
-
 # registry entries NOT exposed to the driver's 50-slot sample: each is
 # subsumed by a consolidated entry above (or is the approximate twin
 # of an exact oracle-checked query, pinned by pytest error bounds).
@@ -9978,33 +5363,18 @@ DRIVER_EXCLUDE = {
     "doc_stats",
     "token_count",
     "repetition_stats",  # -> text_stats
-    "running_count",
-    "running_sum",  # -> running_totals
-    "window_tumbling",
-    "window_sliding",  # -> window_hopping
-    "value_quantiles",
-    "group_quantiles",  # -> quantiles
     "fuzzy_join_names",
     "edit_distance_names",  # -> similarity_join
     "dl_distance_names",  # -> similarity_join (kernel twin, local gate)
-    "part_triangles",  # graph-analytics family, local gate
     "token_pmi",  # collocation family, local gate
-    "event_funnel",  # temporal family twin (asof/windows cover driver)
-    "profile_orders",  # data-quality census, local gate
-    "part_pagerank",  # graph-analytics family, local gate
-    "segment_trend",  # distributed regression, local gate
-    "part_kcore",  # graph-analytics family, local gate
     "kmeans_clusters",  # iterative ML family, local gate
     "fs_patterns",  # subsumed by fs_em_weights (EM runs ON the counts)
-    "fs_decisions",  # local gate + pytest (keeps driver at 50)
+    "fs_decisions",  # local gate + pytest
     "fs_tf_weights",  # local gate + pytest (fs_em_weights keeps the
     # FS family's driver row; TF adds arithmetic on the same chain)
     "sorted_neighbors",  # r4 driver row green; SNM family keeps its
     # local-gate + pytest pins — rotated out for fs_em_weights
     "langid_trigram",  # approximate twin of langid (pytest-pinned)
-    "distinct_users_hll",  # sketch twin of distinct_users
-    "heavy_hitters_cm",  # sketch twin of heavy_hitters
-    "approx_quantiles",  # sketch twin of value_quantiles
     "bloom_new_docs",  # sketch (pytest error bounds)
     "ngram_jaccard_neardup",  # same path as minhash_neardup
     "weighted_jaccard_neardup",  # multiset twin of the near-dup
@@ -10015,14 +5385,14 @@ DRIVER_EXCLUDE = {
     # + ≡-minhash pytest; minhash/embedding keep the driver rows)
     "setsim_cosine",  # measure variants of setsim_neardup (local
     "setsim_dice",  # gate + prefix-lemma fuzz pytest)
-    "setsim_overlap",  # local gate + pytest (keeps driver at 50)
-    "suffix_blocking",  # local gate + pytest (keeps driver at 50)
-    "monge_elkan_join",  # local gate + pytest (keeps driver at 50)
-    "one_to_one_match",  # local gate + pytest (keeps driver at 50)
+    "setsim_overlap",  # local gate + pytest
+    "suffix_blocking",  # local gate + pytest
+    "monge_elkan_join",  # local gate + pytest
+    "one_to_one_match",  # local gate + pytest
     "optimal_matching",  # rows-only exact assignment (permutation-
     # search pytest pin in tests/test_optmatch.py)
-    "soft_tfidf_join",  # local gate + pytest (keeps driver at 50)
-    "topk_matches",  # local gate + pytest (keeps driver at 50)
+    "soft_tfidf_join",  # local gate + pytest
+    "topk_matches",  # local gate + pytest
     "phonetic_blocking",  # soundex key census (local gate + canonical
     # vectors + hypothesis fuzz in tests/test_phonetic.py)
     "cross_corpus_neardup",  # R-S setsim join (local gate + pytest;
@@ -10033,104 +5403,64 @@ DRIVER_EXCLUDE = {
     # graphs pytest-pinned in tests/test_graphcluster.py)
     "hac_clusters",  # rows-only complete/average-link HAC (dense-
     # reference pytest pin in tests/test_hac.py)
-    "consensus_neardup",  # local gate + pytest (keeps driver at 50)
-    "duplicated_spans",  # local gate + pytest (keeps driver at 50)
-    "clean_corpus",  # local gate + pytest (keeps driver at 50)
-    "pairwise_dedup_eval",  # local gate + pytest (keeps driver at 50)
-    "ari_dedup_eval",  # local gate + pytest (keeps driver at 50)
-    "nmi_dedup_eval",  # local gate + pytest (keeps driver at 50)
-    "gmd_dedup_eval",  # local gate + pytest (keeps driver at 50)
-    "vi_dedup_eval",  # local gate + pytest (keeps driver at 50)
+    "consensus_neardup",  # local gate + pytest
+    "duplicated_spans",  # local gate + pytest
+    "clean_corpus",  # local gate + pytest
+    "pairwise_dedup_eval",  # local gate + pytest
+    "ari_dedup_eval",  # local gate + pytest
+    "nmi_dedup_eval",  # local gate + pytest
+    "gmd_dedup_eval",  # local gate + pytest
+    "vi_dedup_eval",  # local gate + pytest
     "blocking_skew",  # local gate + pytest (blocking_keys keeps the
     # key-census driver row; the skew profile derives from it)
     "affine_gap_names",  # rows-only kernel demo (scalar-Gotoh fuzz
     # pin in tests/test_affinegap.py; similarity_join keeps the
     # fuzzy-kernel driver row)
-    "vmeasure_dedup_eval",  # local gate + pytest (keeps driver at 50)
-    "pr_curve_dedup_eval",  # local gate + pytest (keeps driver at 50)
-    "muc_dedup_eval",  # local gate + pytest (keeps driver at 50)
-    "blanc_dedup_eval",  # local gate + pytest (keeps driver at 50)
+    "vmeasure_dedup_eval",  # local gate + pytest
+    "pr_curve_dedup_eval",  # local gate + pytest
+    "muc_dedup_eval",  # local gate + pytest
+    "blanc_dedup_eval",  # local gate + pytest
     "ceaf_dedup_eval",  # rows-only (assignment not SQL-expressible)
-    "meta_blocking",  # local gate + pytest (keeps driver at 50)
-    "meta_blocking_topk",  # local gate + pytest (keeps driver at 50)
-    "meta_blocking_wnp",  # local gate + pytest (keeps driver at 50)
-    "meta_blocking_wep",  # local gate + pytest (keeps driver at 50)
-    "meta_blocking_quality",  # local gate + pytest (keeps driver at 50)
-    "meta_blocking_filtered",  # local gate + pytest (keeps driver at 50)
-    "meta_blocking_cep",  # local gate + pytest (keeps driver at 50)
-    "meta_blocking_weights",  # local gate + pytest (keeps driver at 50)
-    "tfidf_cosine_pairs",  # local gate + pytest (keeps driver at 50)
-    "snm_multipass",  # local gate + pytest (keeps driver at 50)
-    "progressive_snm",  # local gate + pytest (keeps driver at 50)
-    "adaptive_snm",  # local gate + pytest (keeps driver at 50)
-    "cluster_cohesion",  # local gate + pytest (keeps driver at 50)
+    "meta_blocking",  # local gate + pytest
+    "meta_blocking_topk",  # local gate + pytest
+    "meta_blocking_wnp",  # local gate + pytest
+    "meta_blocking_wep",  # local gate + pytest
+    "meta_blocking_quality",  # local gate + pytest
+    "meta_blocking_filtered",  # local gate + pytest
+    "meta_blocking_cep",  # local gate + pytest
+    "meta_blocking_weights",  # local gate + pytest
+    "tfidf_cosine_pairs",  # local gate + pytest
+    "snm_multipass",  # local gate + pytest
+    "progressive_snm",  # local gate + pytest
+    "adaptive_snm",  # local gate + pytest
+    "cluster_cohesion",  # local gate + pytest
     "pubtator_title_split",  # subsumed by pubtator_roundtrip
     "pubmed_roundtrip",  # S8 XML wire formats (local gate + pytest)
     "sample_docs",  # subsumed by stratified_sample
     "species_taxid",  # r4 driver row green; fold family keeps
     # fold_docs + blocking_keys — rotated out for bm25_topk
-    "props_extract",  # r4 driver row green — rotated out for
-    # incremental_rollup (CDC family gets its first driver row)
-    "event_pivot",  # r4 driver row green; events family keeps
-    # rollup_events/windows — rotated out for attribution
-    "range_count",  # r4 driver row green; temporal family keeps
-    # asof_last_signup — rotated out for zorder_layout
-    "user_topk",  # r4 driver row green; rank family keeps
-    # quantiles/running_totals — rotated out for cluster_depth
-    "events_agg",  # plain groupby, subsumed by rollup_events
-    "user_rank",  # rank window, subsumed by user_topk
-    "shipping_priority",  # join+agg, subsumed by local_supplier_volume
-    "segment_revenue",  # join+agg, subsumed by local_supplier_volume
-    "returned_revenue",  # join+agg, subsumed by orders_with_returns
-    "lineitem_pricing",  # wide agg, subsumed by rollup_events
     "label_centroids",  # grouped vector mean (ann/ivf pytest path)
-    "event_gap",  # lag window, subsumed by running_totals
-    "distinct_users",  # count-distinct, exercised by domain_stats
     "stratified_sample",  # sampling, subsumed by its pytest pin
     "simhash_neardup",  # 3rd near-dup twin (r4 driver row green;
     # minhash + embedding keep driver rows, local gate pins simhash)
-    "outer_join_balances",  # full-outer twin (r4 driver row green;
-    # orders_with_returns + similarity_join keep the join family)
     "fingerprint",  # digest twin of exact_dedup (r4 driver row green;
     # the md5-fold key stays driver-checked through b3_dedup_eval)
     "quality_filter",  # subsumed by corpus_quality_gate (same
     # heuristic CTE + the LM-quantile cut in one driver row)
-    "snapshot_diff",  # CDC family, local gate + tests/test_cdc.py
-    "snapshot_apply",  # diff→apply round-trip, local gate + pytest
-    "state_intervals",  # SCD2 islands, local gate + tests/test_scd.py
     "inverted_index",  # IR posting lists, local gate + pytest
     "chi2_keywords",  # keyword-association census, local gate
     "jsd_sources",  # distribution-drift score, local gate
     "heaps_curve",  # vocabulary-growth census, local gate
-    "skyline_parts",  # Pareto-frontier shortlist, local gate
-    "ri_violations",  # FK orphan census, local gate
-    "compaction_plan",  # small-file bin packing, local gate
-    "part_communities",  # LPA communities, local gate
-    "pps_sample",  # weighted systematic sample, local gate
-    "gap_fill",  # daily interpolation resample, local gate
     "setsim_containment",  # near-subset join, local gate
-    "retention_cohorts",  # cohort retention matrix, local gate
-    "item_similarity",  # CF item-item cosine, local gate
     "compression_stats",  # zlib quality signal, local gate (rows-only)
-    "benford_digits",  # first-digit audit, local gate
-    "psi_drift",  # population-stability drift, local gate
-    "degree_powerlaw",  # Hill heavy-tail estimator, local gate
-    "corr_matrix",  # feature-correlation census, local gate
-    "price_outliers",  # z-score anomaly flags, local gate + pytest
-    "fd_violations",  # FD/g3 census, local gate + tests/test_fd.py
     "kmeans_silhouette",  # cluster-quality score, local gate + pytest
-    "decayed_user_value",  # decay aggregate, local gate + pytest
-    "price_histogram",  # profiling census, local gate
-    "join_size_cm",  # rows-only sketch estimate (bound pytest)
-    "event_transitions",  # Markov matrix, local gate + pytest
     "kmeans_medoids",  # golden-vector medoid, local gate + pytest
-    "column_overlap",  # join-key discovery census, local gate
-    "price_deciles",  # global equi-frequency binning, local gate
     "token_bigrams",  # n-gram LM counts, local gate + pytest
     "pq_codes",  # product-quantization encoding, local gate + pytest
 }
 
 
+# name -> (ray_fn, oracle_sql | None)
 REGISTRY: dict[str, tuple] = {
     "fold_docs": (q_fold_docs, SQL_FOLD_DOCS),
     "blocking_skew": (q_blocking_skew, SQL_BLOCKING_SKEW),
@@ -10174,58 +5504,20 @@ REGISTRY: dict[str, tuple] = {
     "embedding_neardup": (q_embedding_neardup, SQL_EMBEDDING_NEARDUP),
     "ann_topk": (q_ann_topk, SQL_ANN_TOPK),
     "label_centroids": (q_label_centroids, SQL_LABEL_CENTROIDS),
-    "events_agg": (q_events_agg, SQL_EVENTS_AGG),
-    "user_topk": (q_user_topk, SQL_USER_TOPK),
-    "running_count": (q_running_count, SQL_RUNNING_COUNT),
-    "running_sum": (q_running_sum, SQL_RUNNING_SUM),
-    "outer_join_balances": (q_outer_join_balances, SQL_OUTER_JOIN_BALANCES),
-    "snapshot_diff": (q_snapshot_diff, SQL_SNAPSHOT_DIFF),
-    "snapshot_apply": (q_snapshot_apply, SQL_SNAPSHOT_APPLY),
-    "state_intervals": (q_state_intervals, SQL_STATE_INTERVALS),
     "inverted_index": (q_inverted_index, SQL_INVERTED_INDEX),
     "bm25_topk": (q_bm25_topk, SQL_BM25_TOPK),
     "chi2_keywords": (q_chi2_keywords, SQL_CHI2_KEYWORDS),
     "jsd_sources": (q_jsd_sources, SQL_JSD_SOURCES),
-    "zorder_layout": (q_zorder_layout, _sql_zorder()),
-    "incremental_rollup": (q_incremental_rollup, SQL_INCREMENTAL_ROLLUP),
     "heaps_curve": (q_heaps_curve, SQL_HEAPS_CURVE),
     "cluster_depth": (q_cluster_depth, SQL_CLUSTER_DEPTH),
-    "skyline_parts": (q_skyline_parts, SQL_SKYLINE_PARTS),
-    "ri_violations": (q_ri_violations, SQL_RI_VIOLATIONS),
-    "compaction_plan": (q_compaction_plan, SQL_COMPACTION_PLAN),
-    "part_communities": (q_part_communities, SQL_PART_COMMUNITIES),
-    "pps_sample": (q_pps_sample, SQL_PPS_SAMPLE),
-    "attribution": (q_attribution, SQL_ATTRIBUTION),
-    "gap_fill": (q_gap_fill, SQL_GAP_FILL),
-    "retention_cohorts": (q_retention_cohorts, SQL_RETENTION_COHORTS),
-    "item_similarity": (q_item_similarity, SQL_ITEM_SIMILARITY),
     "compression_stats": (q_compression_stats, None),
-    "benford_digits": (q_benford_digits, SQL_BENFORD_DIGITS),
-    "psi_drift": (q_psi_drift, SQL_PSI_DRIFT),
-    "degree_powerlaw": (q_degree_powerlaw, SQL_DEGREE_POWERLAW),
-    "corr_matrix": (q_corr_matrix, _sql_corr_matrix()),
-    "price_outliers": (q_price_outliers, SQL_PRICE_OUTLIERS),
-    "fd_violations": (q_fd_violations, SQL_FD_VIOLATIONS),
     "kmeans_silhouette": (q_kmeans_silhouette, SQL_KMEANS_SILHOUETTE),
-    "decayed_user_value": (q_decayed_user_value, SQL_DECAYED_USER_VALUE),
-    "price_histogram": (q_price_histogram, SQL_PRICE_HISTOGRAM),
-    "join_size_cm": (q_join_size_cm, None),
-    "event_transitions": (q_event_transitions, SQL_EVENT_TRANSITIONS),
     "kmeans_medoids": (q_kmeans_medoids, SQL_KMEANS_MEDOIDS),
-    "column_overlap": (q_column_overlap, SQL_COLUMN_OVERLAP),
-    "price_deciles": (q_price_deciles, SQL_PRICE_DECILES),
     "token_bigrams": (q_token_bigrams, SQL_TOKEN_BIGRAMS),
     "pq_codes": (q_pq_codes, SQL_PQ_CODES),
-    "segment_revenue": (q_segment_revenue, SQL_SEGMENT_REVENUE),
-    "lineitem_pricing": (q_lineitem_pricing, SQL_LINEITEM_PRICING),
     "species_taxid": (q_species_taxid, SQL_SPECIES_TAXID),
     "requested_docs": (q_requested_docs, SQL_REQUESTED_DOCS),
     "sample_docs": (q_sample_docs, SQL_SAMPLE_DOCS),
-    "window_tumbling": (q_window_tumbling, SQL_WINDOW_TUMBLING),
-    "window_sliding": (q_window_sliding, SQL_WINDOW_SLIDING),
-    "window_session": (q_window_session, SQL_WINDOW_SESSION),
-    "asof_last_signup": (q_asof_last_signup, SQL_ASOF_LAST_SIGNUP),
-    "range_count": (q_range_count, SQL_RANGE_COUNT),
     "quality_filter": (q_quality_filter, _sql_quality_filter()),
     "corpus_quality_gate": (
         q_corpus_quality_gate,
@@ -10238,26 +5530,12 @@ REGISTRY: dict[str, tuple] = {
     ),
     "pubtator_roundtrip": (q_pubtator_roundtrip, SQL_PUBTATOR_ROUNDTRIP),
     "pubmed_roundtrip": (q_pubmed_roundtrip, SQL_PUBMED_ROUNDTRIP),
-    "shipping_priority": (q_shipping_priority, SQL_SHIPPING_PRIORITY),
-    "cust_no_orders": (q_cust_no_orders, SQL_CUST_NO_ORDERS),
-    "user_rank": (q_user_rank, SQL_USER_RANK),
-    "event_gap": (q_event_gap, SQL_EVENT_GAP),
-    "distinct_users": (q_distinct_users, SQL_DISTINCT_USERS),
-    "distinct_users_hll": (q_distinct_users_hll, None),
     "repetition_stats": (q_repetition_stats, SQL_REPETITION_STATS),
-    "value_quantiles": (q_value_quantiles, SQL_VALUE_QUANTILES),
     "source_quality": (q_source_quality, SQL_SOURCE_QUALITY),
-    "event_pivot": (q_event_pivot, SQL_EVENT_PIVOT),
-    "props_extract": (q_props_extract, SQL_PROPS_EXTRACT),
     "sorted_neighbors": (q_sorted_neighbors, SQL_SORTED_NEIGHBORS),
     "snm_multipass": (q_snm_multipass, SQL_SNM_MULTIPASS),
     "progressive_snm": (q_progressive_snm, SQL_PROGRESSIVE_SNM),
     "adaptive_snm": (q_adaptive_snm, SQL_ADAPTIVE_SNM),
-    "local_supplier_volume": (
-        q_local_supplier_volume,
-        SQL_LOCAL_SUPPLIER_VOLUME,
-    ),
-    "group_quantiles": (q_group_quantiles, SQL_GROUP_QUANTILES),
     "stratified_sample": (q_stratified_sample, SQL_STRATIFIED_SAMPLE),
     "pii_redact": (q_pii_redact, _wtx_sql("pii_redact_sql")),
     "passage_dedup": (q_passage_dedup, _wtx_sql("passage_dedup_sql")),
@@ -10265,8 +5543,6 @@ REGISTRY: dict[str, tuple] = {
     "contamination": (q_contamination, _wtx_sql("contamination_sql")),
     "tfidf_top_terms": (q_tfidf_top_terms, fts.tfidf_top_terms_sql()),
     "lm_score": (q_lm_score, fts.lm_score_sql()),
-    "heavy_hitters": (q_heavy_hitters, SQL_HEAVY_HITTERS),
-    "heavy_hitters_cm": (q_heavy_hitters_cm, None),
     "dedup_clusters": (q_dedup_clusters, SQL_DEDUP_CLUSTERS),
     "golden_records": (q_golden_records, SQL_GOLDEN_RECORDS),
     "b3_dedup_eval": (q_b3_dedup_eval, SQL_B3_DEDUP_EVAL),
@@ -10302,32 +5578,19 @@ REGISTRY: dict[str, tuple] = {
         SQL_META_BLOCKING_QUALITY,
     ),
     "cluster_cohesion": (q_cluster_cohesion, SQL_CLUSTER_COHESION),
-    "returned_revenue": (q_returned_revenue, SQL_RETURNED_REVENUE),
-    "approx_quantiles": (q_approx_quantiles, None),
     "bloom_new_docs": (q_bloom_new_docs, None),
-    "rollup_events": (q_rollup_events, SQL_ROLLUP_EVENTS),
     "canonical_urls": (q_canonical_urls, _wtx_sql("canonicalize_urls_sql")),
     "fuzzy_join_names": (q_fuzzy_join_names, SQL_FUZZY_JOIN_NAMES),
     "edit_distance_names": (q_edit_distance_names, SQL_EDIT_DISTANCE_NAMES),
     "dl_distance_names": (q_dl_distance_names, SQL_DL_DISTANCE_NAMES),
-    "part_triangles": (q_part_triangles, SQL_PART_TRIANGLES),
     "token_pmi": (q_token_pmi, _sql_token_pmi()),
-    "event_funnel": (q_event_funnel, SQL_EVENT_FUNNEL),
-    "profile_orders": (q_profile_orders, SQL_PROFILE_ORDERS),
-    "part_pagerank": (q_part_pagerank, SQL_PART_PAGERANK),
-    "segment_trend": (q_segment_trend, SQL_SEGMENT_TREND),
-    "part_kcore": (q_part_kcore, SQL_PART_KCORE),
     "kmeans_clusters": (q_kmeans_clusters, SQL_KMEANS_CLUSTERS),
     "affine_gap_names": (q_affine_gap_names, None),
     "fs_patterns": (q_fs_patterns, SQL_FS_PATTERNS),
     "fs_em_weights": (q_fs_em_weights, _sql_fs_em()),
     "fs_tf_weights": (q_fs_tf_weights, _sql_fs_tf()),
     "fs_decisions": (q_fs_decisions, _sql_fs_decisions()),
-    "orders_with_returns": (q_orders_with_returns, SQL_ORDERS_WITH_RETURNS),
     # consolidated driver entries (see DRIVER_EXCLUDE above)
     "text_stats": (q_text_stats, _sql_text_stats()),
-    "running_totals": (q_running_totals, SQL_RUNNING_TOTALS),
-    "window_hopping": (q_window_hopping, SQL_WINDOW_HOPPING),
-    "quantiles": (q_quantiles, SQL_QUANTILES),
     "similarity_join": (q_similarity_join, SQL_SIMILARITY_JOIN),
 }

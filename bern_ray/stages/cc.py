@@ -17,21 +17,14 @@ Execution paths:
   connectivity preserved because shared nodes bridge buckets), and
   solve the forest exactly in one worker task. One sort barrier per
   round; forest size is bounded by NODES, not edges.
-- ``label_propagation``: fully-iterative min-label propagation with
-  pointer jumping, kept as the reference alternative (cf. PAPERS.md
-  BTS / large-star small-star) — measured ~20x slower than
-  contraction on star+chain topologies, which is why it is no longer
-  the default scale path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Sum
 
 from .join import SHUFFLE_PREP_ROWS
 
@@ -109,47 +102,6 @@ def union_find_streaming(edges: "ray.data.Dataset") -> dict[int, int]:
         return {}
     nodes, roots = _cc_arrays(np.concatenate(srcs), np.concatenate(dsts))
     return dict(zip(nodes.tolist(), roots.tolist()))
-
-
-_BUCKETS = 32
-
-
-def _bucket_of(col: pa.ChunkedArray | pa.Array) -> pa.Array:
-    v = (
-        col.combine_chunks()
-        if isinstance(col, pa.ChunkedArray)
-        else col
-    ).to_numpy(zero_copy_only=False).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h = (v * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-    return pa.array((h % _BUCKETS).astype(np.int64))
-
-
-def _msgs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    """Per bucket: join label rows (kind 'L') to edge rows (kind 'E')
-    on node, emit (nbr, label) messages."""
-    lab = g[g["kind"] == "L"]
-    edg = g[g["kind"] == "E"]
-    if lab.empty or edg.empty:
-        return pa.table(
-            {
-                "node": pa.array([], type=pa.int64()),
-                "cand": pa.array([], type=pa.int64()),
-            }
-        )
-    merged = edg.merge(
-        lab[["node", "val"]], on="node", suffixes=("", "_lab")
-    )
-    return pa.table(
-        {
-            "node": pa.array(
-                merged["other"].to_numpy(dtype="int64"), type=pa.int64()
-            ),
-            "cand": pa.array(
-                merged["val_lab"].to_numpy(dtype="int64"), type=pa.int64()
-            ),
-        }
-    )
 
 
 FINAL_SOLVE_MAX_ROWS = 20_000_000  # one task's comfortable numpy solve
@@ -267,155 +219,6 @@ def contract_cc(
     return gathered.groupby("g").map_groups(
         lambda g: solve(g), batch_format="pyarrow"
     )
-
-
-def label_propagation(
-    edges: "ray.data.Dataset", max_iters: int = 50
-) -> "ray.data.Dataset":
-    """Distributed min-label propagation -> Dataset(node, label).
-
-    Kept as the fully-iterative alternative; the default scale path is
-    ``contract_cc`` (fewer barriers, measured ~20x faster on the
-    star+chain topologies the pair cap emits)."""
-
-    def sym(t: pa.Table) -> pa.Table:
-        src = t["src"].combine_chunks().cast(pa.int64())
-        dst = t["dst"].combine_chunks().cast(pa.int64())
-        node = pa.concat_arrays([src, dst])
-        other = pa.concat_arrays([dst, src])
-        return pa.table(
-            {
-                "bucket": _bucket_of(node),
-                "node": node,
-                "other": other,
-                "val": pa.nulls(len(node), pa.int64()),
-                "kind": pa.array(["E"] * len(node), type=pa.string()),
-            }
-        )
-
-    sym_edges = edges.map_batches(
-        sym, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-    ).materialize()
-
-    # initial labels: min neighbor per node (plus self)
-    def init_lab(g: pd.DataFrame) -> pa.Table:
-        m = g.groupby("node", as_index=False)["other"].min()
-        lab = np.minimum(
-            m["node"].to_numpy(dtype="int64"),
-            m["other"].to_numpy(dtype="int64"),
-        )
-        return pa.table(
-            {
-                "node": pa.array(
-                    m["node"].to_numpy(dtype="int64"), type=pa.int64()
-                ),
-                "label": pa.array(lab, type=pa.int64()),
-            }
-        )
-
-    labels = (
-        sym_edges.groupby("node")
-        .map_groups(init_lab, batch_format="pandas")
-        .materialize()
-    )
-
-    def lab_rows(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "bucket": _bucket_of(t["node"]),
-                "node": t["node"].combine_chunks().cast(pa.int64()),
-                "other": pa.nulls(t.num_rows, pa.int64()),
-                "val": t["label"].combine_chunks().cast(pa.int64()),
-                "kind": pa.array(["L"] * t.num_rows, type=pa.string()),
-            }
-        )
-
-    def lab_msgs(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": t["node"].combine_chunks().cast(pa.int64()),
-                "cand": t["label"].combine_chunks().cast(pa.int64()),
-            }
-        )
-
-    def ptr_rows(t: pa.Table) -> pa.Table:
-        """Pointer-jump request rows: for row (node, label), look up
-        label[label] — encoded as an 'edge' keyed by the label."""
-        lab = t["label"].combine_chunks().cast(pa.int64())
-        return pa.table(
-            {
-                "bucket": _bucket_of(lab),
-                "node": lab,
-                "other": t["node"].combine_chunks().cast(pa.int64()),
-                "val": pa.nulls(t.num_rows, pa.int64()),
-                "kind": pa.array(["E"] * t.num_rows, type=pa.string()),
-            }
-        )
-
-    # groupby's hash shuffle emits one (often tiny) block per partition;
-    # without coalescing, every union/map over labels schedules one task
-    # per block and the per-iteration task count explodes. Repartition
-    # down to a small fixed width after each materialize.
-    _LABEL_BLOCKS = 16
-
-    def _min_labels(cands: "ray.data.Dataset") -> "ray.data.Dataset":
-        return (
-            cands.groupby("node")
-            .min("cand")
-            .map_batches(
-                lambda t: pa.table(
-                    {"node": t["node"], "label": t["min(cand)"]}
-                ),
-                batch_format="pyarrow",
-            )
-            .repartition(_LABEL_BLOCKS)
-            .materialize()
-        )
-
-    prev_sum = None
-    for _ in range(max_iters):
-        # (1) neighbor-min step
-        tagged = sym_edges.union(
-            labels.map_batches(
-                lab_rows, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-            )
-        )
-        msgs = tagged.groupby("bucket").map_groups(
-            _msgs_in_bucket, batch_format="pandas"
-        )
-        labels = _min_labels(
-            msgs.union(labels.map_batches(
-                lab_msgs, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-            ))
-        )
-        # (2) pointer jump: label <- label[label]; contracts chains so
-        # convergence is O(log diameter) instead of O(diameter)
-        jump_tagged = labels.map_batches(
-            ptr_rows, batch_format="pyarrow"
-        ).union(labels.map_batches(
-                lab_rows, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-            ))
-        jump_msgs = jump_tagged.groupby("bucket").map_groups(
-            _msgs_in_bucket, batch_format="pandas"
-        )
-        labels = _min_labels(
-            jump_msgs.union(
-                labels.map_batches(
-                lab_msgs, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-            )
-            )
-        )
-        # monotone convergence: labels only decrease. labels is already
-        # materialized, so summing its blocks reads refs without
-        # triggering a new execution.
-        cur = 0
-        for b in labels.iter_batches(batch_format="pyarrow"):
-            s = pa.compute.sum(b["label"]).as_py()
-            cur += s if s is not None else 0
-        if prev_sum is not None and cur == prev_sum:
-            break
-        prev_sum = cur
-    return labels
 
 
 # auto mode prefers the driver kernel only for small edge sets; the

@@ -47,3 +47,17 @@ def test_absolute_floor_excludes_small_overlaps():
         _ds([small, host]), threshold=0.9, min_overlap=10
     ).to_pandas()
     assert len(out) == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_floor_applies_at_verification():
+    # two 12-token docs -> 10 shingles each; the last token differs,
+    # so |A∩B| = 9 < min_overlap 10 while min(|A|, |B|) = 10 passes
+    # the candidate size filter and containment is exactly 0.9
+    base = [f"w{i}" for i in range(11)]
+    a = " ".join(base + ["ya"])
+    b = " ".join(base + ["yb"])
+    out = setsim_containment_join(
+        _ds([a, b]), threshold=0.9, min_overlap=10
+    ).to_pandas()
+    assert len(out) == 0

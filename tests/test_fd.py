@@ -1,37 +1,7 @@
-"""FD/g3 violation census + k-means silhouette: planted-data pins."""
+"""k-means silhouette: planted-data pins."""
 
 import numpy as np
 import pandas as pd
-
-from bern_ray.pipelines.relational import q_fd_violations
-
-
-def test_fd_violations_planted(ray_session, tmp_path):
-    # custkey 1: priorities A,A,B  -> majority 2, repair cost 1
-    # custkey 2: priorities A,B,C  -> majority 1, repair cost 2
-    # custkey 3: priorities A,A    -> holds
-    # status is constant -> custkey->status holds everywhere
-    # orderkey unique -> orderkey->custkey holds trivially
-    df = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(1, 9, dtype=np.int64),
-            "o_custkey": np.array([1, 1, 1, 2, 2, 2, 3, 3], np.int64),
-            "o_orderstatus": "O",
-            "o_totalprice": 100.0,
-            "o_orderdate": pd.Timestamp("2024-01-01"),
-            "o_orderpriority": ["A", "A", "B", "A", "B", "C", "A", "A"],
-        }
-    )
-    df.to_parquet(tmp_path / "orders.parquet", index=False)
-    out = (
-        q_fd_violations(str(tmp_path))
-        .to_pandas()
-        .set_index("fd")
-        .sort_index()
-    )
-    assert out.loc["custkey->priority"].tolist() == [3, 2, 3]
-    assert out.loc["custkey->status"].tolist() == [3, 0, 0]
-    assert out.loc["orderkey->custkey"].tolist() == [8, 0, 0]
 
 
 def test_kmeans_silhouette_planted(ray_session):

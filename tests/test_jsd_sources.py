@@ -8,7 +8,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from bern_ray.pipelines.relational import q_jsd_sources
+from bern_ray.pipelines.relational import _jsd_by_source, q_jsd_sources
 
 
 def _write(tmp_path, rows):
@@ -54,3 +54,33 @@ def test_identical_vs_disjoint(tmp_path):
     )
     assert got2["mirrorA"] == pytest.approx(0.0, abs=1e-6)
     assert got2["mirrorB"] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_unrounded_jsd_independent_of_block_layout():
+    import numpy as np
+
+    import ray.data
+
+    rng = np.random.default_rng(11)
+    vocab = [f"tok{i}" for i in range(300)]
+    texts, sources = [], []
+    for i in range(240):
+        k = i % 4
+        words = rng.choice(vocab[k * 40 : k * 40 + 180], size=12)
+        texts.append(" ".join(words))
+        sources.append(f"src{k}")
+    t = pa.table(
+        {
+            "doc_id": pa.array(range(len(texts)), type=pa.int64()),
+            "text": pa.array(texts, type=pa.string()),
+            "source": pa.array(sources, type=pa.string()),
+        }
+    )
+    one = _jsd_by_source(ray.data.from_arrow(t).repartition(1))
+    many = _jsd_by_source(
+        ray.data.from_arrow(t.take(rng.permutation(t.num_rows)))
+        .repartition(7)
+    )
+    assert one["source"].to_pylist() == many["source"].to_pylist()
+    assert one["jsd"].to_pylist() == many["jsd"].to_pylist()

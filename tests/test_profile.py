@@ -69,44 +69,3 @@ def test_column_overlap_planted(ray_session):
     assert (r.n_a, r.n_b, r.n_both) == (4, 4, 2)
     assert abs(r.jaccard - round(2 / 6, 6)) < 1e-9
 
-
-def test_price_deciles_exact(ray_session, tmp_path):
-    import numpy as np
-    import pandas as pd
-
-    from bern_ray.pipelines.relational import q_price_deciles
-
-    rng = np.random.default_rng(9)
-    n = 503  # deliberately not divisible by 10
-    price = rng.uniform(10, 1000, n).round(2)
-    df = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(1, n + 1, dtype=np.int64),
-            "o_custkey": np.int64(1),
-            "o_orderstatus": "O",
-            "o_totalprice": price,
-            "o_orderdate": pd.Timestamp("2024-01-01"),
-            "o_orderpriority": "1-URGENT",
-        }
-    )
-    df.to_parquet(tmp_path / "orders.parquet", index=False)
-    out = (
-        q_price_deciles(str(tmp_path))
-        .to_pandas()
-        .sort_values("decile")
-        .reset_index(drop=True)
-    )
-    s = df.sort_values(["o_totalprice", "o_orderkey"]).reset_index(
-        drop=True
-    )
-    dec = (np.arange(n) * 10) // n
-    exp = (
-        pd.DataFrame({"decile": dec, "p": s.o_totalprice})
-        .groupby("decile")
-        .agg(n=("p", "size"), lo=("p", "min"), hi=("p", "max"))
-        .reset_index()
-    )
-    assert (out.decile.to_numpy() == exp.decile.to_numpy()).all()
-    assert (out.n.to_numpy() == exp.n.to_numpy()).all()
-    assert np.allclose(out.lo, exp.lo) and np.allclose(out.hi, exp.hi)
-    assert out.n.sum() == n

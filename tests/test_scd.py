@@ -1,64 +1,9 @@
-"""SCD2 islands, inverted index, z-score outliers: planted-data pins."""
+"""Inverted index and token bigrams: planted-data pins."""
 
 import numpy as np
 import pandas as pd
 
-from bern_ray.pipelines.relational import (
-    OUTLIER_C,
-    OUTLIER_Z,
-    q_inverted_index,
-    q_price_outliers,
-    q_state_intervals,
-)
-
-
-def test_state_intervals_islands(ray_session, tmp_path):
-    rows = [
-        # u1: A A B A -> three islands (A x2, B, A), last open
-        (1, "2024-01-01 01:00", "A"),
-        (1, "2024-01-01 02:00", "A"),
-        (1, "2024-01-01 03:00", "B"),
-        (1, "2024-01-01 04:00", "A"),
-        # u2: single event -> one open island
-        (2, "2024-01-01 01:00", "C"),
-        # u3: out-of-order arrival must not split the A-run
-        (3, "2024-01-01 03:00", "A"),
-        (3, "2024-01-01 01:00", "A"),
-        (3, "2024-01-01 02:00", "B"),
-    ]
-    df = pd.DataFrame(rows, columns=["user_id", "ts", "event_type"])
-    df["ts"] = pd.to_datetime(df["ts"])
-    df["event_id"] = range(len(df))
-    df["value"] = 1.0
-    df["props"] = "{}"
-    df = df[["event_id", "ts", "user_id", "event_type", "value", "props"]]
-    df.to_parquet(tmp_path / "events.parquet", index=False)
-    out = (
-        q_state_intervals(str(tmp_path))
-        .to_pandas()
-        .sort_values(["user_id", "island"])
-        .reset_index(drop=True)
-    )
-    got = list(
-        zip(out.user_id, out.island, out.state, out.n_events,
-            out.valid_to.isna())
-    )
-    h = lambda s: int(  # noqa: E731
-        pd.Timestamp(f"2024-01-01 0{s}:00").value // 1000
-    )
-    assert got == [
-        (1, 1, "A", 2, False),
-        (1, 2, "B", 1, False),
-        (1, 3, "A", 1, True),
-        (2, 1, "C", 1, True),
-        (3, 1, "A", 1, False),  # sorted order: A@01, B@02, A@03
-        (3, 2, "B", 1, False),
-        (3, 3, "A", 1, True),
-    ]
-    # valid_to chains exactly to the next island's valid_from
-    u1 = out[out.user_id == 1]
-    assert list(u1.valid_from) == [h(1), h(3), h(4)]
-    assert list(u1.valid_to)[:2] == [h(3), h(4)]
+from bern_ray.pipelines.relational import q_inverted_index
 
 
 def test_inverted_index_postings(ray_session, tmp_path):
@@ -80,71 +25,6 @@ def test_inverted_index_postings(ray_session, tmp_path):
     # min_df=5: beta appears in 5 docs, alpha in 4, gamma in 1
     assert set(idx) == {"beta"}
     assert idx["beta"] == (5, [1, 2, 3, 4, 5])  # sorted, deduped
-
-
-def test_price_outliers_two_pass(ray_session, tmp_path):
-    rng = np.random.default_rng(3)
-    n = 500
-    price = rng.normal(OUTLIER_C, 1000, n)
-    price[:5] += 8000  # planted outliers
-    df = pd.DataFrame(
-        {
-            "o_orderkey": np.arange(1, n + 1, dtype=np.int64),
-            "o_custkey": np.int64(1),
-            "o_orderstatus": "O",
-            "o_totalprice": price.round(2),
-            "o_orderdate": pd.Timestamp("2024-01-01"),
-            "o_orderpriority": np.where(
-                np.arange(n) % 2 == 0, "1-URGENT", "5-LOW"
-            ),
-        }
-    )
-    df.to_parquet(tmp_path / "orders.parquet", index=False)
-    out = q_price_outliers(str(tmp_path)).to_pandas()
-    # brute-force per-group z
-    y = df.o_totalprice - OUTLIER_C
-    g = df.groupby("o_orderpriority")["o_totalprice"]
-    mu = g.apply(lambda s: (s - OUTLIER_C).mean())
-    sd = g.apply(
-        lambda s: np.sqrt(
-            ((s - OUTLIER_C) ** 2).mean() - (s - OUTLIER_C).mean() ** 2
-        )
-    )
-    z = (y - df.o_orderpriority.map(mu)) / df.o_orderpriority.map(sd)
-    expect = set(df.o_orderkey[np.abs(z) > OUTLIER_Z])
-    assert set(out.o_orderkey) == expect
-    assert set(df.o_orderkey[:5]) <= expect  # planted ones flagged
-    zmap = dict(zip(df.o_orderkey, np.round(z, 6)))
-    assert all(abs(zmap[k] - v) < 1e-9 for k, v in zip(out.o_orderkey, out.z))
-
-
-def test_event_transitions_planted(ray_session, tmp_path):
-    from bern_ray.pipelines.relational import q_event_transitions
-
-    rows = [
-        # u1: A -> B -> A   (pairs: A->B, B->A)
-        (1, "2024-01-01 01:00", "A"),
-        (1, "2024-01-01 02:00", "B"),
-        (1, "2024-01-01 03:00", "A"),
-        # u2: A -> B        (pair: A->B) — cross-user pair must NOT
-        # be emitted between u1's last and u2's first event
-        (2, "2024-01-01 01:00", "A"),
-        (2, "2024-01-01 02:00", "B"),
-        # u3: single event -> no pairs
-        (3, "2024-01-01 01:00", "C"),
-    ]
-    df = pd.DataFrame(rows, columns=["user_id", "ts", "event_type"])
-    df["ts"] = pd.to_datetime(df["ts"])
-    df["event_id"] = range(len(df))
-    df["value"] = 1.0
-    df["props"] = "{}"
-    df = df[["event_id", "ts", "user_id", "event_type", "value", "props"]]
-    df.to_parquet(tmp_path / "events.parquet", index=False)
-    out = q_event_transitions(str(tmp_path)).to_pandas()
-    got = {
-        (r.prev_type, r.next_type): (r.n, r.p) for r in out.itertuples()
-    }
-    assert got == {("A", "B"): (2, 1.0), ("B", "A"): (1, 1.0)}
 
 
 def test_token_bigrams_planted(ray_session, tmp_path):
