@@ -22,6 +22,8 @@ stages/cc.py with the distributed alternative).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -39,8 +41,17 @@ from ..stages.blocking import (
 )
 from ..stages.extract import MentionExtractor
 from ..stages.normalize import MentionNormalizer
+from ..stages.partitions import session_cpus
 from ..stages.scoring import PairScorer, edges_only
-from ..state.checkpoint import checkpointed
+from ..state.checkpoint import checkpointed, source_digest
+
+_PKG = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the code the checkpointed linkage stages run: their content keys carry
+# its digest, so editing any of it invalidates stored stages
+LINKAGE_SOURCES = tuple(
+    os.path.join(_PKG, p)
+    for p in ("stages", "core", "sources", "pipelines/linkage.py")
+)
 
 
 class FusedExtractNormalize:
@@ -349,7 +360,10 @@ def incremental_linkage(
             ),
             checkpoint_root,
             lineage=["prior_normalized"],
-            config={"stage": "exploded_prior", "v": 1},
+            config={
+                "stage": "exploded_prior",
+                "code": source_digest(*LINKAGE_SOURCES),
+            },
         )
         new_exploded = new_tagged.map_batches(
             lambda t: explode_block_keys(t, with_attrs=True),
@@ -377,6 +391,18 @@ def incremental_linkage(
         edges_only, batch_format="pyarrow"
     ).union(new_scored.map_batches(edges_only, batch_format="pyarrow"))
     return cluster_mentions(tagged, edges)
+
+
+def check_pool_fits(concurrency: int | tuple, cpus: int) -> None:
+    """An actor pool whose minimum holds every CPU leaves no slot for
+    the read and shuffle tasks that feed it, and the pipeline stalls
+    without an error. Refuse such a session up front."""
+    pool_min = concurrency if isinstance(concurrency, int) else concurrency[0]
+    if cpus < pool_min + 1:
+        raise ValueError(
+            f"linkage needs at least {pool_min + 1} CPUs (actor pool "
+            f"minimum {pool_min} + 1 for reads), the Ray session has {cpus}"
+        )
 
 
 def linkage_pipeline(
@@ -412,12 +438,17 @@ def linkage_pipeline(
     pinning, Ray's lazy re-execution would re-run extraction once per
     consumer.
     """
+    check_pool_fits(concurrency, session_cpus())
     pair_model_loader = None
     if pair_model_path is not None:
         from ..stages.scoring import load_pair_model
 
         pair_model_loader = load_pair_model(pair_model_path)
-    cfg = {"sf_dir": sf_dir, "from_html": from_html, "v": 2}
+    cfg = {
+        "sf_dir": sf_dir,
+        "from_html": from_html,
+        "code": source_digest(*LINKAGE_SOURCES),
+    }
     # the pair model changes SCORING (and hence clusters) but not
     # extraction — scope it to the scored/clusters content keys so
     # flipping the model never invalidates the normalized checkpoint

@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray.data
 
 from ..core.fold import fold_text
+from ..stages.partitions import plan_blocks, session_cpus, source_rows
 from . import dicts
 from .pq import read_parquet_clean
 
@@ -130,26 +131,31 @@ def _make_pages_batch(batch: pa.Table, replicate: int = 1) -> pa.Table:
     )
 
 
-def read_pages(
-    sf_dir: str, replicate: int = 1, num_blocks: int = 128
-) -> "ray.data.Dataset":
+def pages_source_blocks(sf_dir: str, replicate: int = 1) -> int:
+    """Source block count ``read_pages`` plans for this input and session
+    (stages/partitions.py)."""
+    rows = source_rows(f"{sf_dir}/documents.parquet", replicate)
+    return plan_blocks(rows, session_cpus())
+
+
+def read_pages(sf_dir: str, replicate: int = 1) -> "ray.data.Dataset":
     """documents.parquet -> pages Dataset (lazy, streaming).
 
     ``replicate`` scales the corpus deterministically (bench knob):
     each copy occupies a disjoint doc_id band with its own planted
     mentions, so blocking/scoring work grows linearly with it.
 
-    ``num_blocks`` pins the source block count: Ray's read heuristic
-    sizes SplitBlocks to the CPU count, which leaves the downstream
-    extraction pool with ~2 waves of coarse tasks (measured 25%+ wall
-    lost to wave quantization at 8 CPUs). ~4-8 tasks per actor keeps
-    the pool saturated; at real scale one block per input file-chunk
-    does the same job.
+    The source block count is planned from the metadata row count ×
+    ``replicate`` and the session's CPUs (stages/partitions.py): one
+    block per ~313 pages, between one and four per CPU. Every shuffle
+    downstream on the linkage path inherits it, so a small input pays
+    for a small fan-out, and a large one still gives each extraction
+    actor >= 4 tasks.
     """
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text", "lang"],
-        override_num_blocks=num_blocks,
+        override_num_blocks=pages_source_blocks(sf_dir, replicate),
     )
     return ds.map_batches(
         lambda t: _make_pages_batch(t, replicate),

@@ -12,8 +12,8 @@ start, server.py:641-649); the north_rule requires it. Model:
   matches the current config, the stage is NOT recomputed — the
   parquet is read back and streaming continues from there (FIXTURES.md
   §6 test 5). A mismatched key (different input dir, different
-  parameters, changed pipeline version) recomputes instead of
-  silently returning stale data;
+  parameters, changed pipeline code via ``source_digest``) recomputes
+  instead of silently returning stale data;
 - writes are atomic: data goes to ``{root}/.tmp-{name}`` and is
   renamed into place after the manifest is written.
 
@@ -24,6 +24,8 @@ only the tmp dir, which is ignored and overwritten on rerun.
 
 from __future__ import annotations
 
+import functools
+import glob
 import hashlib
 import json
 import os
@@ -48,6 +50,24 @@ def content_key(config: dict | None) -> str | None:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
+
+
+@functools.cache
+def source_digest(*paths: str) -> str:
+    """Digest of the ``.py`` sources under ``paths`` (files or
+    directories), computed once per process. A stage whose config
+    carries it recomputes after any edit to the code it runs, instead
+    of trusting a hand-bumped version number."""
+    h = hashlib.sha256()
+    for path in paths:
+        files = [path] if os.path.isfile(path) else sorted(
+            glob.glob(os.path.join(path, "**", "*.py"), recursive=True)
+        )
+        for f in files:
+            h.update(os.path.relpath(f, os.path.dirname(path)).encode())
+            with open(f, "rb") as fh:
+                h.update(hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()[:16]
 
 
 def checkpointed(

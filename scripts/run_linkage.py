@@ -17,7 +17,9 @@ clusters) lands in per-stage partitioned Parquet with a lineage
 manifest (state/checkpoint.py); re-submitting the identical job after
 a failure resumes from the last complete stage. Output is partitioned
 Parquet (clusters + PubAnnotation-style denotations), never one giant
-file. A metrics JSON line goes to stdout and ``<output>/_METRICS.json``.
+file. A metrics JSON line goes to stdout and ``<output>/_METRICS.json``;
+it includes the planned pages source block count (``source_blocks``)
+and the session's CPUs (``ray_cpus``) the plan was made for.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ def main() -> None:
         linkage_pipeline,
     )
     from bern_ray.sources.output import write_outputs
+    from bern_ray.sources.pages import pages_source_blocks
+    from bern_ray.stages.partitions import session_cpus
 
     t0 = time.monotonic()
     clusters = linkage_pipeline(
@@ -93,6 +97,8 @@ def main() -> None:
         "n_cluster_rows": n,
         "wall_sec": round(time.monotonic() - t0, 3),
         "checkpoint": args.checkpoint,
+        "source_blocks": pages_source_blocks(args.input),
+        "ray_cpus": session_cpus(),
     }
     os.makedirs(args.output, exist_ok=True)
     with open(f"{args.output}/_METRICS.json", "w") as f:

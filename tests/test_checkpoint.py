@@ -91,6 +91,38 @@ def test_content_key_mismatch_recomputes(ray_session, tmp_path):
     assert read_manifest(root, "st")["content_key"] is not None
 
 
+def test_code_change_recomputes(ray_session, tmp_path):
+    """The linkage content keys carry ``source_digest`` of the code the
+    stages run: one changed byte in that code recomputes the stage
+    instead of reusing the stored one."""
+    import ray.data
+
+    from bern_ray.stages import partitions
+    from bern_ray.state.checkpoint import checkpointed, source_digest
+
+    src = tmp_path / "src"
+    src.mkdir()
+    mod = src / "partitions.py"
+    mod.write_bytes(open(partitions.__file__, "rb").read())
+    root = str(tmp_path / "ck")
+    calls = []
+
+    def factory():
+        calls.append(1)
+        return ray.data.range(3)
+
+    def run():
+        cfg = {"sf": "a", "code": source_digest(str(src))}
+        return checkpointed("st", factory, root, config=cfg).count()
+
+    assert run() == 3 and len(calls) == 1
+    assert run() == 3 and len(calls) == 1  # unchanged code: reused
+    body = mod.read_bytes()
+    mod.write_bytes(body[:-1] + bytes([body[-1] ^ 1]))  # one byte
+    source_digest.cache_clear()  # a new process computes it afresh
+    assert run() == 3 and len(calls) == 2
+
+
 def test_stage_metrics_rollup(ray_session, tmp_path):
     """The metrics rollup (state/metrics.py) turns each completed
     stage's _MANIFEST.json + parquet sidecars into one queryable row

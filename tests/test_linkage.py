@@ -133,3 +133,27 @@ def test_cluster_ids_consistent(clusters_df):
     df = clusters_df.dropna(subset=["oid"])
     assert (df.groupby("oid").cluster_id.nunique() <= 1).all()
     assert (df.groupby("cluster_id").oid.nunique() <= 1).all()
+
+
+def test_pool_check_needs_a_free_cpu():
+    from bern_ray.pipelines.linkage import check_pool_fits
+
+    check_pool_fits((1, 8), 2)
+    check_pool_fits(3, 4)
+    with pytest.raises(ValueError, match="at least 5 CPUs.*has 4"):
+        check_pool_fits((4, 4), 4)
+    with pytest.raises(ValueError, match="at least 2 CPUs.*has 1"):
+        check_pool_fits((1, 1), 1)
+
+
+def test_too_few_cpus_fails_loudly(ray_session):
+    """A pool minimum that holds all 4 CPUs stalls the pipeline; it
+    must raise before any dataset is built."""
+    import time
+
+    from bern_ray.pipelines.linkage import linkage_pipeline
+
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="at least 5 CPUs.*has 4"):
+        linkage_pipeline(SF, concurrency=(4, 4))
+    assert time.monotonic() - t0 < 5
