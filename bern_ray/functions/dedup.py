@@ -21,7 +21,6 @@ inside map_batches), per SURVEY.md §7.4.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -34,7 +33,7 @@ from ..core.minhash import (
     simhash,
     token_shingles,
 )
-from ..stages.join import SHUFFLE_PREP_ROWS
+from ..stages.bucketed import PREP_BATCH, bucketed_apply
 from .textstats import fingerprint_batch
 
 MINHASH_PERMS = 128
@@ -111,13 +110,6 @@ def _minhash_band_rows(t: pa.Table, k: int) -> pa.Table:
 _DEDUP_BUCKETS = 128
 
 
-def _band_bucket(t: pa.Table) -> pa.Table:
-    h = pd.util.hash_array(np.asarray(t["band"].to_pylist(), dtype=object))
-    return t.append_column(
-        "bucket", pa.array((h % _DEDUP_BUCKETS).astype(np.int64), type=pa.int64())
-    )
-
-
 # all-pairs guard: bands at or under this size emit the FULL pair set
 # (the DuckDB all-pairs oracle regime); larger bands switch to the
 # duplicate-class collapse + spanning emission below — O(n) per band
@@ -181,10 +173,10 @@ def _band_pairs_bucket(band_cap: int | None = None):
     duplicate-class collapse above it (_oversized_band_pairs) — a
     Python loop per OVERSIZED band only, rare by definition."""
 
-    def fn(g: pd.DataFrame) -> pa.Table:
+    def fn(t: pa.Table) -> pa.Table:
         from ..stages.blocking import segment_pairs
 
-        g = g.drop_duplicates(["band", "doc_id"])
+        g = t.to_pandas().drop_duplicates(["band", "doc_id"])
         g = g.sort_values(["band", "doc_id"], kind="mergesort").reset_index(
             drop=True
         )
@@ -304,11 +296,9 @@ def minhash_neardup(
 
     band_rows = docs.map_batches(
         lambda t: _minhash_band_rows(t, shingle_k), batch_format="pyarrow"
-    ).map_batches(
-        _band_bucket, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
     )
-    pairs = band_rows.groupby("bucket").map_groups(
-        _band_pairs_bucket(band_cap), batch_format="pandas"
+    pairs = bucketed_apply(
+        band_rows, "band", _band_pairs_bucket(band_cap), _DEDUP_BUCKETS
     )
 
     return verify_jaccard_pairs(pairs, shingles, threshold)
@@ -525,17 +515,6 @@ def _prefix_rows(
     return pa.table(cols)
 
 
-def _tok_bucket(t: pa.Table) -> pa.Table:
-    h = t["tok"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    return t.append_column(
-        "bucket",
-        pa.array(
-            (h % np.uint64(_DEDUP_BUCKETS)).astype(np.int64),
-            type=pa.int64(),
-        ),
-    )
-
-
 def _posting_pairs_bucket(
     coef: float,
     posting_cap: int | None,
@@ -559,10 +538,10 @@ def _posting_pairs_bucket(
     survives (later-token emissions are redundant duplicates). The
     pruned-emission count is reported via counters."""
 
-    def fn(g: pd.DataFrame) -> pa.Table:
+    def fn(t: pa.Table) -> pa.Table:
         from ..stages.blocking import segment_pairs
 
-        g = g.drop_duplicates(["tok", "doc_id"])
+        g = t.to_pandas().drop_duplicates(["tok", "doc_id"])
         g = g.sort_values(["tok", "doc_id"], kind="mergesort").reset_index(
             drop=True
         )
@@ -661,12 +640,12 @@ def setsim_neardup(
     prefix = shingles.map_batches(
         lambda t: _prefix_rows(t, coef, with_pos=positional),
         batch_format="pyarrow",
-    ).map_batches(
-        _tok_bucket, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
     )
-    pairs = prefix.groupby("bucket").map_groups(
+    pairs = bucketed_apply(
+        prefix,
+        "tok",
         _posting_pairs_bucket(coef, posting_cap, positional),
-        batch_format="pandas",
+        _DEDUP_BUCKETS,
     )
     return verify_setsim_pairs(
         pairs,
@@ -688,8 +667,8 @@ def _posting_pairs_rs_bucket(coef: float, posting_cap: int | None):
     downstream, so the capped subset is a plain truncation — recall
     trade documented, opt-in)."""
 
-    def fn(g: pd.DataFrame) -> pa.Table:
-        g = g.drop_duplicates(["tok", "side", "doc_id"])
+    def fn(t: pa.Table) -> pa.Table:
+        g = t.to_pandas().drop_duplicates(["tok", "side", "doc_id"])
         g = g.sort_values(
             ["tok", "side", "doc_id"], kind="mergesort"
         ).reset_index(drop=True)
@@ -811,13 +790,9 @@ def setsim_join(
                 lambda t: _prefix_rows(t, coef), batch_format="pyarrow"
             ).map_batches(tag(1), batch_format="pyarrow")
         )
-        .map_batches(
-            _tok_bucket, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-        )
     )
-    pairs = pre.groupby("bucket").map_groups(
-        _posting_pairs_rs_bucket(coef, posting_cap),
-        batch_format="pandas",
+    pairs = bucketed_apply(
+        pre, "tok", _posting_pairs_rs_bucket(coef, posting_cap), _DEDUP_BUCKETS
     )
     return verify_setsim_pairs(
         pairs,
@@ -854,10 +829,10 @@ def _simhash_rows(t: pa.Table) -> pa.Table:
 
 
 def _simhash_pairs_bucket(max_hamming: int):
-    def fn(g: pd.DataFrame) -> pa.Table:
+    def fn(t: pa.Table) -> pa.Table:
         from ..stages.blocking import segment_pairs
 
-        g = g.drop_duplicates(["band", "doc_id"])
+        g = t.to_pandas().drop_duplicates(["band", "doc_id"])
         g = g.sort_values(["band", "doc_id"], kind="mergesort").reset_index(
             drop=True
         )
@@ -902,11 +877,9 @@ def _simhash_pairs_bucket(max_hamming: int):
 def simhash_neardup(
     docs: "ray.data.Dataset", max_hamming: int = 3
 ) -> "ray.data.Dataset":
-    rows = docs.map_batches(_simhash_rows, batch_format="pyarrow").map_batches(
-        _band_bucket, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-    )
-    pairs = rows.groupby("bucket").map_groups(
-        _simhash_pairs_bucket(max_hamming), batch_format="pandas"
+    rows = docs.map_batches(_simhash_rows, batch_format="pyarrow")
+    pairs = bucketed_apply(
+        rows, "band", _simhash_pairs_bucket(max_hamming), _DEDUP_BUCKETS
     )
     uniq = pairs.groupby(["doc_id_a", "doc_id_b"]).min("hamming")
     return uniq.map_batches(
@@ -989,13 +962,9 @@ def simhash_mirror_neardup(
 ) -> "ray.data.Dataset":
     """Banded simhash near-dup with a DuckDB value oracle
     (pipelines/relational.py SQL_SIMHASH_NEARDUP)."""
-    rows = docs.map_batches(
-        _simhash31_rows, batch_format="pyarrow"
-    ).map_batches(
-        _band_bucket, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-    )
-    pairs = rows.groupby("bucket").map_groups(
-        _simhash_pairs_bucket(max_hamming), batch_format="pandas"
+    rows = docs.map_batches(_simhash31_rows, batch_format="pyarrow")
+    pairs = bucketed_apply(
+        rows, "band", _simhash_pairs_bucket(max_hamming), _DEDUP_BUCKETS
     )
     uniq = pairs.groupby(["doc_id_a", "doc_id_b"]).min("hamming")
     return uniq.map_batches(
@@ -1727,11 +1696,6 @@ def golden_records(
         bk = ln * (1 << 31) + ((1 << 31) - 1 - doc)
         best = np.full(len(uk), -1, dtype=np.int64)
         np.maximum.at(best, inv, bk)
-        with np.errstate(over="ignore"):
-            h = (
-                (uk // max(nl, 1)).astype(np.uint64)
-                * np.uint64(0x9E3779B97F4A7C15)
-            ) >> np.uint64(33)
         return pa.table(
             {
                 "cluster_id": pa.array(uk // max(nl, 1), type=pa.int64()),
@@ -1741,13 +1705,11 @@ def golden_records(
                 "members": pa.array(cnts, type=pa.int64()),
                 "chars": pa.array(chars, type=pa.int64()),
                 "bestkey": pa.array(best, type=pa.int64()),
-                "bucket": pa.array(
-                    (h % _GOLDEN_NUM_BUCKETS).astype(np.int64)
-                ),
             }
         )
 
-    def fuse_bucket(g: pd.DataFrame) -> pa.Table:
+    def fuse_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         agg = g.groupby("cluster_id", sort=True).agg(
             n_members=("members", "sum"),
             total_chars=("chars", "sum"),
@@ -1787,12 +1749,11 @@ def golden_records(
             }
         )
 
-    return (
-        joined.map_batches(
-            partial, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-        )
-        .groupby("bucket")
-        .map_groups(fuse_bucket, batch_format="pandas")
+    partials = joined.map_batches(
+        partial, batch_format="pyarrow", batch_size=PREP_BATCH
+    )
+    return bucketed_apply(
+        partials, "cluster_id", fuse_bucket, _GOLDEN_NUM_BUCKETS
     )
 
 
@@ -1838,24 +1799,9 @@ def cluster_cohesion(
         right_schema={"doc_id": pa.int64(), "cluster_id": pa.int64()},
     )
 
-    def tag(t: pa.Table) -> pa.Table:
-        cid = t["cluster_id"].combine_chunks().to_numpy(
-            zero_copy_only=False
-        )
-        return pa.table(
-            {
-                "cluster_id": t["cluster_id"],
-                "j": t["jaccard"],
-                "bucket": pa.array(
-                    (cid.astype(np.uint64) % num_buckets).astype(
-                        np.int64
-                    )
-                ),
-            }
-        )
-
-    def reduce_bucket(g: "pd.DataFrame") -> pa.Table:
-        agg = g.groupby("cluster_id", sort=False)["j"].agg(
+    def reduce_bucket(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
+        agg = g.groupby("cluster_id", sort=False)["jaccard"].agg(
             ["size", "min", "mean"]
         )
         return pa.table(
@@ -1873,10 +1819,11 @@ def cluster_cohesion(
             }
         )
 
-    return (
-        edges.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(reduce_bucket, batch_format="pandas")
+    return bucketed_apply(
+        edges.select_columns(["cluster_id", "jaccard"]),
+        "cluster_id",
+        reduce_bucket,
+        num_buckets,
     )
 
 
@@ -1919,10 +1866,10 @@ def _posting_pairs_abs_bucket(
     absolute-overlap size filter min(|A|, |B|) >= T (a side smaller
     than T cannot reach T shared tokens)."""
 
-    def fn(g: pd.DataFrame) -> pa.Table:
+    def fn(t: pa.Table) -> pa.Table:
         from ..stages.blocking import segment_pairs
 
-        g = g.drop_duplicates(["tok", "doc_id"])
+        g = t.to_pandas().drop_duplicates(["tok", "doc_id"])
         g = g.sort_values(
             ["tok", "doc_id"], kind="mergesort"
         ).reset_index(drop=True)
@@ -1997,14 +1944,12 @@ def setsim_overlap_join(
     prefix = shingles.map_batches(
         lambda t: _prefix_rows_abs(t, min_overlap),
         batch_format="pyarrow",
-    ).map_batches(
-        _tok_bucket,
-        batch_format="pyarrow",
-        batch_size=SHUFFLE_PREP_ROWS,
     )
-    pairs = prefix.groupby("bucket").map_groups(
+    pairs = bucketed_apply(
+        prefix,
+        "tok",
         _posting_pairs_abs_bucket(min_overlap, posting_cap),
-        batch_format="pandas",
+        _DEDUP_BUCKETS,
     )
     return verify_setsim_pairs(
         pairs,
@@ -2039,14 +1984,12 @@ def setsim_containment_join(
     prefix = shingles.map_batches(
         lambda t: _prefix_rows_abs(t, min_overlap),
         batch_format="pyarrow",
-    ).map_batches(
-        _tok_bucket,
-        batch_format="pyarrow",
-        batch_size=SHUFFLE_PREP_ROWS,
     )
-    pairs = prefix.groupby("bucket").map_groups(
+    pairs = bucketed_apply(
+        prefix,
+        "tok",
         _posting_pairs_abs_bucket(min_overlap, posting_cap),
-        batch_format="pandas",
+        _DEDUP_BUCKETS,
     )
     return verify_setsim_pairs(
         pairs,
@@ -2162,12 +2105,12 @@ def weighted_jaccard_neardup(
     prefix = elems.map_batches(
         lambda t: _prefix_rows(t, coef, with_pos=positional),
         batch_format="pyarrow",
-    ).map_batches(
-        _tok_bucket, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
     )
-    pairs = prefix.groupby("bucket").map_groups(
+    pairs = bucketed_apply(
+        prefix,
+        "tok",
         _posting_pairs_bucket(coef, posting_cap, positional),
-        batch_format="pandas",
+        _DEDUP_BUCKETS,
     )
     return verify_setsim_pairs(
         pairs, elems, threshold, sim="jaccard", score_col="wjaccard"
@@ -2268,13 +2211,9 @@ def icws_neardup(
         _tf_expanded_rows, batch_format="pyarrow"
     ).materialize()
 
-    band_rows = docs.map_batches(
-        _icws_band_rows, batch_format="pyarrow"
-    ).map_batches(
-        _band_bucket, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-    )
-    pairs = band_rows.groupby("bucket").map_groups(
-        _band_pairs_bucket(band_cap), batch_format="pandas"
+    band_rows = docs.map_batches(_icws_band_rows, batch_format="pyarrow")
+    pairs = bucketed_apply(
+        band_rows, "band", _band_pairs_bucket(band_cap), _DEDUP_BUCKETS
     )
     return verify_setsim_pairs(
         pairs, elems, threshold, sim="jaccard", score_col="wjaccard"

@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from ..core.strhash import _as_string_array, _token_h64  # noqa: F401
+
 TOKEN_RE = "[0-9a-zA-Z]+"
 
 # tiny deterministic stopword inventories for the n-gram-free langid
@@ -305,19 +307,6 @@ def repetition_batch(t: pa.Table) -> pa.Table:
 TFIDF_BROADCAST_MAX_DOCS = 200_000
 
 
-def _as_string_array(arr) -> pa.Array:
-    """One contiguous int32-offset StringArray: combines chunks and
-    downcasts large_string (whose offsets are int64 — the raw buffer
-    readers below would silently misread them as int32). Ray Data
-    batches are far below the 2 GiB int32 payload bound, so the
-    downcast never overflows here."""
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    if pa.types.is_large_string(arr.type):
-        arr = arr.cast(pa.string())
-    return arr
-
-
 # byte class table for TOKEN_RE = [0-9a-zA-Z]+ (tokens are ASCII
 # alnum runs of the lowered text, so a byte LUT is exact)
 _ALNUM = np.zeros(256, dtype=bool)
@@ -410,42 +399,6 @@ def _tf_rows(t: pa.Table) -> pa.Table:
             "tf": pa.array(cnt, type=pa.int64()),
         }
     )
-
-
-def _token_h64(tokens) -> np.ndarray:
-    """Stable 63-bit token hash (join co-location key; exactness comes
-    from the post-merge string-equality filter, never from the hash).
-
-    Vectorized FNV-1a straight over the Arrow string buffer: <= 32
-    numpy column passes, zero per-row Python (measured 7x the old
-    blake2b-per-token loop, BASELINE.md r5). Tokens sharing their
-    first 32 bytes AND full byte length collide — which only
-    CO-LOCATES them (the join post-filters on token equality)."""
-    if not isinstance(tokens, (pa.Array, pa.ChunkedArray)):
-        tokens = pa.array(list(tokens), type=pa.string())
-    tokens = _as_string_array(tokens)
-    n = len(tokens)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    offs = np.frombuffer(tokens.buffers()[1], dtype=np.int32)[
-        tokens.offset : tokens.offset + n + 1
-    ].astype(np.int64)
-    data = np.frombuffer(tokens.buffers()[2], dtype=np.uint8)
-    true_lens = np.diff(offs)
-    lens = np.minimum(true_lens, 32)
-    starts = offs[:-1]
-    h = np.full(n, 0xCBF29CE484222325, dtype=np.uint64)
-    cap = len(data) - 1 if len(data) else 0
-    with np.errstate(over="ignore"):
-        for j in range(int(lens.max()) if n else 0):
-            m = j < lens
-            b = np.zeros(n, dtype=np.uint64)
-            pos = np.minimum(starts + j, cap)
-            b[m] = data[pos[m]]
-            nh = (h ^ b) * np.uint64(0x100000001B3)
-            h = np.where(m, nh, h)
-        h = (h ^ true_lens.astype(np.uint64)) * np.uint64(0x100000001B3)
-    return (h >> np.uint64(1)).astype(np.int64)
 
 
 def tfidf_top_terms(
@@ -551,7 +504,8 @@ def tfidf_top_terms(
     # ------------------------------------------- joined (scale) path
     import pandas as pd
 
-    from bern_ray.stages.join import SHUFFLE_PREP_ROWS, bucket_join
+    from bern_ray.stages.bucketed import PREP_BATCH
+    from bern_ray.stages.join import bucket_join
 
     term_rows = docs.map_batches(
         _tf_rows, batch_format="pyarrow"
@@ -560,7 +514,7 @@ def tfidf_top_terms(
             "h64", pa.array(_token_h64(t["token"]))
         ),
         batch_format="pyarrow",
-        batch_size=SHUFFLE_PREP_ROWS,
+        batch_size=PREP_BATCH,
     )
     df_rows = df_agg.map_batches(
         lambda t: pa.table(
@@ -571,7 +525,7 @@ def tfidf_top_terms(
             }
         ),
         batch_format="pyarrow",
-        batch_size=SHUFFLE_PREP_ROWS,
+        batch_size=PREP_BATCH,
     )
     attached = bucket_join(
         term_rows,
@@ -613,7 +567,7 @@ def tfidf_top_terms(
     bucketed = attached.map_batches(
         exact_and_bucket,
         batch_format="pyarrow",
-        batch_size=SHUFFLE_PREP_ROWS,
+        batch_size=PREP_BATCH,
     )
 
     def top_per_doc(g: pd.DataFrame) -> pa.Table:
@@ -942,7 +896,8 @@ def lm_score(
     # ------------------------------------------- joined (scale) path
     from ray.data.aggregate import Sum
 
-    from bern_ray.stages.join import SHUFFLE_PREP_ROWS, bucket_join
+    from bern_ray.stages.bucketed import PREP_BATCH
+    from bern_ray.stages.join import bucket_join
 
     cnt = cnt_agg.materialize()  # |vocab|-bounded, object store only
     n_total = float(cnt.sum("sum(partial)"))
@@ -952,7 +907,7 @@ def lm_score(
     ).map_batches(
         lambda t: t.append_column("h64", pa.array(_token_h64(t["token"]))),
         batch_format="pyarrow",
-        batch_size=SHUFFLE_PREP_ROWS,
+        batch_size=PREP_BATCH,
     )
     cnt_rows = cnt.map_batches(
         lambda t: pa.table(
@@ -963,7 +918,7 @@ def lm_score(
             }
         ),
         batch_format="pyarrow",
-        batch_size=SHUFFLE_PREP_ROWS,
+        batch_size=PREP_BATCH,
     )
     attached = bucket_join(
         term_rows,
@@ -1014,7 +969,7 @@ def lm_score(
 
     agg = (
         attached.map_batches(
-            doc_partial, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
+            doc_partial, batch_format="pyarrow", batch_size=PREP_BATCH
         )
         .groupby("doc_id")
         .aggregate(Sum("lp", alias_name="lp"), Sum("ntok", alias_name="ntok"))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -39,6 +38,7 @@ from ..stages.blocking import (
     build_attr_vocab,
     candidate_pairs,
 )
+from ..stages.bucketed import bucketed_apply
 from ..stages.extract import MentionExtractor
 from ..stages.normalize import MentionNormalizer
 from ..stages.partitions import session_cpus
@@ -200,7 +200,7 @@ def score_pairs(
     )
 
 
-def _assign_clusters_bucket(g: pd.DataFrame) -> pa.Table:
+def _assign_clusters_bucket(t: pa.Table) -> pa.Table:
     """Vectorized cluster-id assignment for ALL components hashed into
     one bucket (components are numerous and tiny — one Python call per
     component would dominate; this is one pandas groupby-transform).
@@ -210,6 +210,7 @@ def _assign_clusters_bucket(g: pd.DataFrame) -> pa.Table:
     Returns an explicit Arrow table (list<string> ids) so the output
     block is parquet-writable regardless of pandas object dtypes.
     """
+    g = t.to_pandas()
     grp = g.groupby("root", sort=False)
     min_oid = grp["oid"].transform("min")  # NaN-safe: skips missing
     min_fold = grp["fold_key"].transform("min")
@@ -283,24 +284,12 @@ def cluster_mentions(
         root_arr = pc.coalesce(
             t["label"].combine_chunks(), t["mention_id"].combine_chunks()
         )
-        roots = root_arr.to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = (roots * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
         return t.drop_columns(["label"]).append_column(
             "root", root_arr.cast(pa.int64())
-        ).append_column(
-            "bucket", pa.array((h % 256).astype(np.int64), type=pa.int64())
         )
 
-    from ..stages.join import SHUFFLE_PREP_ROWS
-
-    with_root = joined.map_batches(
-        add_root, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-    )
-    out = with_root.groupby("bucket").map_groups(
-        _assign_clusters_bucket, batch_format="pandas"
-    )
-    return out
+    with_root = joined.map_batches(add_root, batch_format="pyarrow")
+    return bucketed_apply(with_root, "root", _assign_clusters_bucket, 256)
 
 
 def incremental_linkage(
@@ -563,23 +552,8 @@ def golden_entities(clusters: "ray.data.Dataset") -> "ray.data.Dataset":
     thousands of tiny groups handled vectorized: one value_counts for
     the surface vote, one nunique for urls). No driver hop; output is
     O(#clusters)."""
-    from ..functions.textstats import _token_h64
-
-    def tag(t: pa.Table) -> pa.Table:
-        h = _token_h64(t["cluster_id"]).astype(np.uint64)
-        return pa.table(
-            {
-                "cluster_id": t["cluster_id"],
-                "etype": t["etype"],
-                "surface": t["surface"],
-                "url": t["url"],
-                "bucket": pa.array(
-                    (h % np.uint64(_GOLDEN_BUCKETS)).astype(np.int64)
-                ),
-            }
-        )
-
-    def fuse(g: pd.DataFrame) -> pa.Table:
+    def fuse(t: pa.Table) -> pa.Table:
+        g = t.to_pandas()
         # majority surface with lexicographic tie-break: sort by
         # (cluster, surface), count, then stable-sort by -count
         vc = (
@@ -619,8 +593,9 @@ def golden_entities(clusters: "ray.data.Dataset") -> "ray.data.Dataset":
             }
         )
 
-    return (
-        clusters.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fuse, batch_format="pandas")
+    return bucketed_apply(
+        clusters.select_columns(["cluster_id", "etype", "surface", "url"]),
+        "cluster_id",
+        fuse,
+        _GOLDEN_BUCKETS,
     )

@@ -27,15 +27,17 @@ Skew handling (north_rule requirement):
   grouped by the carried base key, so connectivity across salts is
   preserved.
 
-Candidate pairs are canonically ordered (a_mid < b_mid) and globally
-exact-deduplicated by one more int-keyed bucketed shuffle, so the
-scorer sees each pair exactly once.
+Candidate pairs are canonically ordered (a_mid < b_mid). With
+``dedup=True`` they are globally exact-deduplicated by one more
+int-keyed bucketed shuffle, so the consumer sees each pair exactly
+once; the linkage hot path passes ``dedup=False`` (connected
+components is idempotent to repeated edges). Both shuffles go through
+stages/bucketed.py's ``bucketed_apply``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -45,7 +47,7 @@ import ray.data
 from ..core.fold import tmchem_key
 from ..core.minhash import _splitmix64, char_shingles, minhash_signatures
 from .broadcast import get_broadcast, put_broadcast
-from .join import SHUFFLE_PREP_ROWS
+from .bucketed import bucketed_apply
 
 LSH_BANDS = 4  # detection prob at j=0.7: 1-(1-0.7^2)^4 ~= 0.93
 LSH_ROWS = 2
@@ -325,7 +327,7 @@ def _empty_pairs(with_codes: bool, with_attrs: bool) -> pa.Table:
     return pa.table(cols)
 
 
-def _emit_pairs_bucket(g: pd.DataFrame) -> pa.Table:
+def _emit_pairs_bucket(t: pa.Table) -> pa.Table:
     """Vectorized candidate-pair generation for ALL keys in one bucket.
 
     One Python call per bucket (256 total), C-speed segmentation inside
@@ -333,17 +335,25 @@ def _emit_pairs_bucket(g: pd.DataFrame) -> pa.Table:
     exploded rows carry surface/oid, pairs are emitted fully
     attributed (a_/b_ columns follow the canonical a<b swap).
     """
-    with_codes = "surface_c" in g.columns
-    with_attrs = with_codes or "surface" in g.columns
-    g = g.drop_duplicates(["key", "mention_id"])
-    n = len(g)
-    if n == 0:
+    names = t.schema.names
+    with_codes = "surface_c" in names
+    with_attrs = with_codes or "surface" in names
+    if t.num_rows == 0:
         return _empty_pairs(with_codes, with_attrs)
-    order = np.lexsort(
-        (g["mention_id"].to_numpy(), g["key"].to_numpy())
-    )
-    keys = g["key"].to_numpy()[order]
-    mids = g["mention_id"].to_numpy()[order]
+
+    def col(c: str) -> np.ndarray:
+        return t[c].to_numpy(zero_copy_only=False)
+
+    all_keys, all_mids = col("key"), col("mention_id")
+    order = np.lexsort((all_mids, all_keys))
+    keys, mids = all_keys[order], all_mids[order]
+    # repeated (key, mention_id) rows are one mention exploded twice
+    # (salting pivots, unioned inputs): identical attributes, keep one
+    new_row = np.empty(len(order), dtype=bool)
+    new_row[0] = True
+    new_row[1:] = (keys[1:] != keys[:-1]) | (mids[1:] != mids[:-1])
+    order, keys, mids = order[new_row], keys[new_row], mids[new_row]
+    n = len(order)
     new_run = np.empty(n, dtype=bool)
     new_run[0] = True
     new_run[1:] = keys[1:] != keys[:-1]
@@ -390,8 +400,8 @@ def _emit_pairs_bucket(g: pd.DataFrame) -> pa.Table:
         "key": pa.array(keys[ai], type=pa.int64()),
     }
     if with_codes:
-        sc = g["surface_c"].to_numpy()[order]
-        oc = g["oid_c"].to_numpy()[order]
+        sc = col("surface_c")[order]
+        oc = col("oid_c")[order]
         sa, sb = sc[ai], sc[bi]
         oa, ob = oc[ai], oc[bi]
         cols["a_sc"] = pa.array(np.where(swap, sb, sa), type=pa.int32())
@@ -399,8 +409,8 @@ def _emit_pairs_bucket(g: pd.DataFrame) -> pa.Table:
         cols["a_oc"] = pa.array(np.where(swap, ob, oa), type=pa.int32())
         cols["b_oc"] = pa.array(np.where(swap, oa, ob), type=pa.int32())
     elif with_attrs:
-        surf = g["surface"].to_numpy(dtype=object)[order]
-        oid = g["oid"].to_numpy(dtype=object)[order]
+        surf = col("surface")[order]
+        oid = col("oid")[order]
         sa, sb = surf[ai], surf[bi]
         oa, ob = oid[ai], oid[bi]
         cols["a_surface"] = pa.array(
@@ -412,11 +422,11 @@ def _emit_pairs_bucket(g: pd.DataFrame) -> pa.Table:
         cols["a_oid"] = pa.array(np.where(swap, ob, oa), type=pa.string())
         cols["b_oid"] = pa.array(np.where(swap, oa, ob), type=pa.string())
     if with_attrs:
-        if "is_new" in g.columns:
+        if "is_new" in names:
             # incremental mode: pairs between two PRIOR mentions are
             # already represented in the prior edge set — drop them at
             # the source, so only new-touching work flows downstream
-            newv = g["is_new"].to_numpy()[order].astype(bool)
+            newv = col("is_new")[order].astype(bool)
             keep = newv[ai] | newv[bi]
             cols = {
                 k: (v.filter(pa.array(keep)) if hasattr(v, "filter") else v)
@@ -425,34 +435,10 @@ def _emit_pairs_bucket(g: pd.DataFrame) -> pa.Table:
     return pa.table(cols)
 
 
-def _add_bucket(t: pa.Table) -> pa.Table:
-    k = t["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h = (k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
-    # `base` is consumed only by the PRE-shuffle maps (salt /
-    # pivot_rows); dropping it here keeps 8 dead bytes per row out of
-    # the pipeline's one wide sort (~20% of the int-code payload)
-    if "base" in t.schema.names:
-        t = t.drop_columns(["base"])
-    return t.append_column(
-        "bucket", pa.array((h % N_PAIR_BUCKETS).astype(np.int64))
-    )
-
-
-def _add_pair_bucket(t: pa.Table) -> pa.Table:
-    a = t["a_mid"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    b = t["b_mid"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h = (a ^ (b * np.uint64(0x9E3779B97F4A7C15))) >> np.uint64(17)
-    return t.append_column(
-        "bucket", pa.array((h % N_PAIR_BUCKETS).astype(np.int64))
-    )
-
-
-def _dedup_pairs_bucket(g: pd.DataFrame) -> pa.Table:
+def _dedup_pairs_bucket(t: pa.Table) -> pa.Table:
     """Global exact pair dedup (in-bucket == global: identical pairs
-    share a bucket). Keeps one originating key per pair."""
-    g = g.drop_duplicates(["a_mid", "b_mid"])
+    share a_mid, hence a bucket). Keeps one originating key per pair."""
+    g = t.to_pandas().drop_duplicates(["a_mid", "b_mid"])
     return pa.table(
         {
             "a_mid": pa.array(g["a_mid"].to_numpy(), type=pa.int64()),
@@ -463,15 +449,7 @@ def _dedup_pairs_bucket(g: pd.DataFrame) -> pa.Table:
 
 
 def dedup_pairs(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
-    return (
-        pairs.map_batches(
-            _add_pair_bucket,
-            batch_format="pyarrow",
-            batch_size=SHUFFLE_PREP_ROWS,
-        )
-        .groupby("bucket")
-        .map_groups(_dedup_pairs_bucket, batch_format="pandas")
-    )
+    return bucketed_apply(pairs, "a_mid", _dedup_pairs_bucket, N_PAIR_BUCKETS)
 
 
 # The skew census runs on a deterministic 1/2^HOT_SAMPLE_SHIFT row
@@ -662,12 +640,14 @@ def pairs_from_exploded(
         )
     else:
         stream = exploded
-    pairs = (
-        stream.map_batches(
-            _add_bucket, batch_format="pyarrow", batch_size=SHUFFLE_PREP_ROWS
-        )
-        .groupby("bucket")
-        .map_groups(_emit_pairs_bucket, batch_format="pandas")
+    # `base` is consumed only by the PRE-shuffle maps (salt /
+    # pivot_rows); dropping it keeps 8 dead bytes per row out of the
+    # pipeline's one wide sort (~20% of the int-code payload)
+    pairs = bucketed_apply(
+        stream.drop_columns(["base"]),
+        "key",
+        _emit_pairs_bucket,
+        N_PAIR_BUCKETS,
     )
     return dedup_pairs(pairs) if dedup else pairs
 

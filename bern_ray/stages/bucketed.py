@@ -1,10 +1,13 @@
-"""Bucket-and-segment: the scale shape for per-key ORDERED operators.
+"""Bucket-and-segment: the one shuffle shape for per-key work.
 
 `groupby(key).map_groups(fn)` is one Python call per key and ~one
 block per group out of the shuffle — correct, but at web scale (10^8
 users / documents) it is the canonical tiny-groups scheduler death.
-This module gives the replacement shape used by the pair generator
-(`stages/blocking.py _emit_pairs_bucket`): shuffle ONCE on
+This module gives the replacement shape that every wide step on the
+linkage and near-dup paths goes through — pair generation and pair
+dedup (stages/blocking.py), contraction CC (stages/cc.py), cluster
+assignment (pipelines/linkage.py) and the dedup family's band /
+posting-list shuffles (functions/dedup.py): shuffle ONCE on
 ``bucket = hash(key) % K`` (K small and fixed, independent of key
 cardinality), then hand the WHOLE bucket to a vectorized kernel that
 lexsorts by (key, order cols) and segments per key with numpy
@@ -21,10 +24,11 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
+
+from ..core.strhash import _token_h64
 
 # Shuffle-prep bundling: parquet reads produce small blocks; feeding
 # hundreds of tiny blocks into the sort barrier is superlinearly slow
@@ -35,16 +39,16 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def key_buckets(col: pa.ChunkedArray | pa.Array, num_buckets: int) -> np.ndarray:
-    """Deterministic int64 bucket ids for an int or string key column."""
+    """Deterministic int64 bucket ids for an int or string key column.
+
+    Strings hash through the vectorized FNV (`core/strhash.py`) first;
+    both kinds then take the same multiplicative int mix."""
     if pa.types.is_integer(col.type):
         k = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = (k * _MIX) >> np.uint64(33)
     else:
-        # vectorized, process-stable string hash (fixed default key)
-        h = pd.util.hash_array(
-            np.asarray(col.to_pylist(), dtype=object)
-        ).astype(np.uint64)
+        k = _token_h64(col).astype(np.uint64)
+    with np.errstate(over="ignore"):
+        h = (k * _MIX) >> np.uint64(33)
     return (h % np.uint64(num_buckets)).astype(np.int64)
 
 

@@ -26,7 +26,7 @@ import pyarrow as pa
 
 import ray.data
 
-from .join import SHUFFLE_PREP_ROWS
+from .bucketed import bucketed_apply
 
 
 def _cc_arrays(
@@ -119,8 +119,8 @@ def contract_cc(
     (measured 194 s vs ~10 s at 4.3M edges, 32 CPUs: LP's star+chain
     convergence needed ~12 iterations x 4 sort barriers).
 
-    Round r: hash-bucket EDGES, run the vectorized numpy CC kernel
-    per bucket, emit each bucket's spanning forest (node -> local
+    Round r: hash-bucket EDGES on ``src``, run the vectorized numpy CC
+    kernel per bucket, emit each bucket's spanning forest (node -> local
     root). The union of bucket forests preserves GLOBAL connectivity
     with no edge re-mapping: an edge's endpoints are always in the
     same bucket, and a node whose edges split across buckets appears
@@ -141,19 +141,6 @@ def contract_cc(
     ``rounds`` runs exactly that many (pytest compatibility knob).
     """
 
-    def add_edge_bucket(t: pa.Table) -> pa.Table:
-        s = t["src"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        d = t["dst"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = ((s ^ (d * np.uint64(0x9E3779B97F4A7C15)))) >> np.uint64(17)
-        return pa.table(
-            {
-                "bucket": pa.array((h % num_buckets).astype(np.int64)),
-                "src": t["src"],
-                "dst": t["dst"],
-            }
-        )
-
     def contract_bucket(g: pa.Table) -> pa.Table:
         nodes, roots = _cc_arrays(
             g["src"].to_numpy(zero_copy_only=False),
@@ -168,19 +155,13 @@ def contract_cc(
         )
 
     forest = None
-    cur = edges
+    cur = edges.select_columns(["src", "dst"])
     r = 0
     prev_rows = None
     while True:
         r += 1
-        f = (
-            cur.map_batches(
-                add_edge_bucket,
-                batch_format="pyarrow",
-                batch_size=SHUFFLE_PREP_ROWS,
-            )
-            .groupby("bucket")
-            .map_groups(contract_bucket, batch_format="pyarrow")
+        f = bucketed_apply(
+            cur, "src", contract_bucket, num_buckets
         ).materialize()  # counted for escalation + consumed downstream
         forest = f
         cur = f
@@ -209,16 +190,8 @@ def contract_cc(
             }
         )
 
-    gathered = forest.map_batches(
-        lambda t: t.append_column(
-            "g", pa.array(np.zeros(t.num_rows, dtype=np.int64))
-        ),
-        batch_format="pyarrow",
-        batch_size=SHUFFLE_PREP_ROWS,
-    )
-    return gathered.groupby("g").map_groups(
-        lambda g: solve(g), batch_format="pyarrow"
-    )
+    # one bucket: the whole forest in one task
+    return bucketed_apply(forest, "src", solve, num_buckets=1)
 
 
 # auto mode prefers the driver kernel only for small edge sets; the

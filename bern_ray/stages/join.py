@@ -3,9 +3,9 @@
 The engine's one join kernel (SURVEY.md §2.4): both sides get a
 ``__b = hash(key) % num_buckets`` column, one ``groupby(__b)``
 co-locates matching keys, and a per-bucket pandas merge emits joined
-rows — the same shape as cc.py's label⋈edge message join, factored out
-for every attach/verify site that previously used a driver-built
-broadcast map.
+rows — the bucket rule is stages/bucketed.py's ``key_buckets``; only
+the two-sided union is this module's own. It serves every attach /
+verify site that previously used a driver-built broadcast map.
 
 Why not ``Dataset.join``: measured on this target (500k pairs ⋈ 100k
 attrs, 32 CPUs) the hash-shuffle aggregator join costs 8.9-18.8 s
@@ -29,23 +29,9 @@ import pyarrow as pa
 
 import ray.data
 
+from .bucketed import PREP_BATCH, key_buckets
+
 DEFAULT_NUM_BUCKETS = 64
-
-# Bundle shuffle inputs into few large blocks: the sort barrier's cost
-# is superlinear in input block count on this target (measured: 0.26 s
-# at 16 blocks vs 4.2 s at 256 blocks for the same 750k rows), and the
-# tag step is trivial compute, so coalescing here is free.
-SHUFFLE_PREP_ROWS = 65536
-
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _bucket_ints(v: np.ndarray, num_buckets: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        h = (v.astype(np.uint64) * _MIX) >> np.uint64(33)
-    return (h % num_buckets).astype(np.int64)
-
-
 
 
 def bucket_join(
@@ -104,9 +90,8 @@ def bucket_join(
             # drop pandas metadata from read schemas (unhashable in
             # this pyarrow — breaks Ray's schema-dedup fast path)
             t = t.replace_schema_metadata(None)
-            keys = t[on_col].to_numpy(zero_copy_only=False)
             cols: dict[str, pa.Array | pa.ChunkedArray] = {
-                "__b": pa.array(_bucket_ints(keys, num_buckets)),
+                "__b": pa.array(key_buckets(t[on_col], num_buckets)),
                 "__side": pa.array(
                     np.full(t.num_rows, side, dtype=np.int8)
                 ),
@@ -127,12 +112,12 @@ def bucket_join(
     tagged = left.map_batches(
         tag(left_on, 0, left_schema),
         batch_format="pyarrow",
-        batch_size=SHUFFLE_PREP_ROWS,
+        batch_size=PREP_BATCH,
     ).union(
         right.map_batches(
             tag(right_on, 1, right_schema),
             batch_format="pyarrow",
-            batch_size=SHUFFLE_PREP_ROWS,
+            batch_size=PREP_BATCH,
         )
     )
 

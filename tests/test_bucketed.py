@@ -47,6 +47,28 @@ def test_key_buckets_deterministic_and_bounded():
     assert (key_buckets(s, 16) == key_buckets(s, 16)).all()
 
 
+def test_key_buckets_string_layout_invariant():
+    """A string key lands in the same bucket whatever Arrow layout the
+    batch hands over: chunked, sliced or one contiguous array."""
+    words = [f"band-{i}:{i * 7919 % 1000:04x}" for i in range(200)]
+    whole = pa.array(words)
+    want = key_buckets(whole, 64)
+    chunked = pa.chunked_array([pa.array(words[:77]), pa.array(words[77:])])
+    assert key_buckets(chunked, 64).tolist() == want.tolist()
+    sliced = key_buckets(whole.slice(30, 50), 64)
+    assert sliced.tolist() == want[30:80].tolist()
+    assert 1 < len(np.unique(want)) <= 64
+
+
+def test_key_buckets_one_bucket_is_all_zero():
+    """num_buckets=1 sends every key to bucket 0 (contract_cc's final
+    one-task solve relies on it)."""
+    ints = pa.array(np.arange(-50, 50, dtype=np.int64) * 1_000_003)
+    strs = pa.array([f"k{i}" for i in range(100)])
+    assert key_buckets(ints, 1).tolist() == [0] * 100
+    assert key_buckets(strs, 1).tolist() == [0] * 100
+
+
 def test_bucketed_apply_matches_per_key_groupby(ray_session):
     """A per-key ordered kernel through bucketed_apply must equal the
     naive per-key pandas computation (here: running count per key)."""
