@@ -1,48 +1,61 @@
-"""Meta-blocking over token blocking: block purging + common-block
-(CBS) comparison pruning.
+"""Meta-blocking over token blocking: block purging, then weighting and
+pruning of the blocking graph (Papadakis et al., "Meta-Blocking:
+Taking Entity Resolution to the Next Level", TKDE 2014).
 
 Token blocking (every record keyed by every distinct token of a
 blocking field) is the redundancy-positive scheme the ER literature
-builds meta-blocking on (Papadakis et al., "Meta-Blocking: Taking
-Entity Resolution to the Next Level", TKDE 2014): oversized blocks
-are PURGED (a token shared by half the corpus carries no signal and
-would cost C(n,2) comparisons), and the surviving candidate pairs are
-PRUNED by edge weight in the blocking graph — here the CBS scheme
-(weight = number of blocks two records co-occur in), keeping pairs
-with weight >= ``min_common``. This is the literature step beyond the
-reference's single-key blocking dictionaries (normalize.py:168-289:
-one fold key per mention, no redundancy, no pruning) and composes
-with the same downstream scorer/CC stages.
+builds meta-blocking on: oversized blocks are PURGED (a token shared by
+half the corpus carries no signal and would cost C(n,2) comparisons),
+and the surviving candidate pairs are weighted — CBS, the number of
+blocks two records share — and PRUNED by edge weight (WEP, CEP) or per
+node (WNP, CNP). This is the literature step beyond the reference's
+single-key blocking dictionaries (normalize.py:168-289: one fold key
+per mention, no redundancy, no pruning) and composes with the same
+downstream scorer/CC stages.
+
+All seven operators are one pipeline, every shuffle a 256-bucket
+``bucketed_apply`` (stages/bucketed.py): ``_assignments`` (distinct
+(id, token) rows, optionally block-filtered) -> ``_block_pass`` (one
+token shuffle: purge, weigh each block — 1 for CBS, idf^2 for TF-IDF
+cosine — and emit pair partials, plus per-record partials and tallies
+on request) -> ``_combine`` (one key shuffle; ``segmented_reduce``
+sums in (key, value) order, so float sums do not depend on the order
+rows arrive in) -> ``_node_prune`` (CNP, WNP) or ``_attach`` (endpoint
+values for the weighting schemes and the TF-IDF norms).
 
 Scale shape (the 100-TB story):
-- one token shuffle keyed on a 63-bit token hash (hash collisions
-  only co-locate: the in-bucket segmentation groups on the REAL
-  token bytes);
+- the token shuffle is keyed on the token bytes' hash (collisions only
+  co-locate: the in-bucket segmentation groups on the REAL token);
 - block purging bounds per-block pair emission to C(purge_cap, 2) —
   the cap is the skew defense, and purged blocks/pairs are reported
   through ``state/counters`` (SURVEY §7.5: log what was dropped);
-- pair multiplicities are combined per bucket BEFORE the second
-  shuffle (np.unique partial), so the CBS shuffle moves one row per
-  distinct (bucket, pair), keyed on a packed int64 — never a string;
-  the CBS combine itself is bucketed (256 pair-hash groups, one
-  vectorized np reduce per group) rather than a native per-key
-  groupby — 871k distinct pairs through Ray's groupby().sum() cost
-  ~21 s at sf0.01 where the bucketed reduce is sub-second;
-- nothing is driver-sized: the output is the pruned pair list.
+- pair partials are combined per token bucket BEFORE the pair shuffle,
+  which moves one row per distinct (bucket, pair) keyed on a packed
+  int64 ``(a << 31) | b`` — never a string; the combine is bucketed,
+  not a native per-key groupby (871k distinct pairs through Ray's
+  groupby().sum() cost ~21 s at sf0.01, the bucketed reduce < 1 s);
+- nothing is driver-sized: the output is the pruned pair list and the
+  only values pulled back are scalar tallies.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
 
 from ..stages.blocking import segment_pairs
+from ..stages.bucketed import (
+    bucketed_apply,
+    segment_starts_repeat,
+    segmented_reduce,
+    segments,
+)
+from ..stages.join import bucket_join
 from ..state import counters
-from .textstats import _explode_tokens, _token_h64
+from .textstats import _explode_tokens
 
 _NUM_BUCKETS = 256
 # packed pair key = (a << 31) | b: both ids must fit in 31 bits so
@@ -51,201 +64,173 @@ _NUM_BUCKETS = 256
 _ID_BITS = 31
 _ID_MAX = (1 << _ID_BITS) - 1
 
-_PAIR_SCHEMA = pa.schema(
-    [
-        ("pair", pa.int64()),
-        ("partial", pa.int64()),
-        ("pair_bucket", pa.int64()),
-    ]
-)
+# _block_pass row kinds: pair partial (key = packed pair), record
+# partial (key = id), and per-bucket tallies of the blocks that yield
+# comparisons and of the assignments that survive purging (key 0)
+_PAIR, _RECORD, _BLOCKS, _KEPT = range(4)
+_CBS_COUNTERS = ("metablock_purged_blocks", "metablock_purged_pairs")
+_TFIDF_COUNTERS = ("tfidf_cos_purged_tokens", "tfidf_cos_purged_pairs")
 
 
-def _tok_rows_fn(id_col: str, text_col: str):
+def _token_blocks(t: pa.Table):
+    """Sort a token bucket by (token bytes, id) -> (sorted table,
+    starts, sizes), one segment per token block. A token's rows all
+    share one bucket, so a segment IS the global block."""
+    tok = pc.rank(t["token"], tiebreaker="dense").to_numpy()
+    order = np.lexsort((t["id"].to_numpy(), tok))
+    starts, sizes = segments(tok[order])
+    return t.take(order), starts, sizes
+
+
+def _assignments(
+    records: "ray.data.Dataset",
+    id_col: str,
+    text_col: str,
+    block_filter: tuple[int, int] | None,
+) -> "ray.data.Dataset":
+    """-> Dataset (id, token): the distinct block assignments. A record
+    lives in exactly one batch, so per-batch distinct is global.
+
+    ``block_filter=(num, den)``: BLOCK FILTERING (Papadakis et al.,
+    EDBT 2016) — each record keeps only its ceil(num/den * nb) SMALLEST
+    blocks (ties broken by token bytes), so a mid-frequency token block
+    shrinks to the records for which it is among their most selective
+    keys. The keep rule is integer-exact: rn <= ceil(num*nb/den) <=>
+    rn*den <= num*nb + den - 1 — no float boundary, so the SQL mirror
+    (same integer arithmetic) cannot disagree. Dropped assignments are
+    reported via the counters sidecar."""
+
     def tok_rows(t: pa.Table) -> pa.Table:
         idx, toks = _explode_tokens(t[text_col])
-        ids = t[id_col].combine_chunks().to_numpy(
-            zero_copy_only=False
-        )[idx]
-        # distinct (id, token): a record lives in exactly one batch,
-        # so per-batch dedup IS global dedup
-        df = pd.DataFrame(
-            {
-                "id": ids.astype(np.int64),
-                "token": toks.to_numpy(zero_copy_only=False),
-            }
-        ).drop_duplicates()
-        tok_arr = pa.array(df["token"], type=pa.string())
-        bucket = (
-            _token_h64(tok_arr).astype(np.uint64) % _NUM_BUCKETS
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "id": pa.array(df["id"].to_numpy(), type=pa.int64()),
-                "token": tok_arr,
-                "bucket": pa.array(bucket),
-            }
+        ids = t[id_col].to_numpy()[idx].astype(np.int64)
+        return (
+            pa.table({"id": ids, "token": toks})
+            .group_by(["id", "token"])
+            .aggregate([])
         )
 
-    return tok_rows
+    assign = records.map_batches(tok_rows, batch_format="pyarrow")
+    if block_filter is None:
+        return assign
+    num, den = block_filter
+
+    def sized(t: pa.Table) -> pa.Table:
+        s, _, sizes = _token_blocks(t)
+        return s.append_column("sz", pa.array(np.repeat(sizes, sizes)))
+
+    def keep_smallest(t: pa.Table) -> pa.Table:
+        ids = t["id"].to_numpy()
+        tok = pc.rank(t["token"], tiebreaker="dense").to_numpy()
+        order = np.lexsort((tok, t["sz"].to_numpy(), ids))
+        starts, nb = segments(ids[order])
+        rank = np.arange(len(order)) - segment_starts_repeat(starts, nb)
+        keep = (rank + 1) * den <= num * np.repeat(nb, nb) + den - 1
+        counters.add_many({"metablock_filtered_assignments": (~keep).sum()})
+        return t.take(order[keep]).select(["id", "token"])
+
+    sized_ds = bucketed_apply(assign, "token", sized, _NUM_BUCKETS)
+    return bucketed_apply(sized_ds, "id", keep_smallest, _NUM_BUCKETS)
 
 
-def _emit_bucket_fn(purge_threshold_x2: int):
-    """Per-bucket: segment on the real token, purge blocks with
-    2*size > purge_threshold_x2, emit all pairs of survivors, and
-    partial-combine pair multiplicities (np.unique) before the CBS
-    shuffle. The x2 integer compare keeps a fractional cap (e.g.
-    half the corpus) exact — no float boundary."""
+def _block_pass(
+    records: "ray.data.Dataset",
+    id_col: str,
+    text_col: str,
+    block_filter: tuple[int, int] | None,
+    purge_threshold_x2: int,
+    *,
+    n_records: int | None = None,
+    extras: bool = False,
+) -> "ray.data.Dataset":
+    """One token shuffle over ``_assignments`` -> (kind, key, w) rows.
 
-    def emit_bucket(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return _PAIR_SCHEMA.empty_table()
-        tok = g["token"].to_numpy()
-        ids = g["id"].to_numpy(dtype=np.int64)
+    Per token block: purge when 2*size > ``purge_threshold_x2`` (the x2
+    integer compare keeps a fractional cap such as half the corpus
+    exact), weigh the survivors — 1 for CBS, idf^2 = ln(N/df)^2 for
+    TF-IDF when ``n_records`` = N is given — and emit every pair of a
+    block of size >= 2 as a _PAIR partial, summed per packed pair within
+    the bucket. With ``extras``, also each record's summed block
+    weights (_RECORD; CBS counts only blocks that yield a comparison)
+    and the _BLOCKS / _KEPT tallies, materialized for several readers."""
+    log_n = None if n_records is None else float(np.log(float(n_records)))
+    purge_counters = _CBS_COUNTERS if n_records is None else _TFIDF_COUNTERS
+
+    def kernel(t: pa.Table) -> pa.Table:
+        s, starts, sizes = _token_blocks(t)
+        ids = s["id"].to_numpy()
         if ids.size and int(ids.max()) > _ID_MAX:
             raise ValueError(
-                "meta_block_pairs ids must fit in 31 bits for the "
-                "packed pair key; re-key to dense int64 first"
+                "meta-blocking ids must fit in 31 bits for the packed "
+                "pair key; re-key to dense int64 first"
             )
-        order = np.lexsort((ids, tok))
-        tok = tok[order]
-        ids = ids[order]
-        change = np.empty(len(tok), dtype=bool)
-        change[0] = True
-        change[1:] = tok[1:] != tok[:-1]
-        starts = np.flatnonzero(change)
-        sizes = np.diff(np.append(starts, len(tok)))
         purged = 2 * sizes > purge_threshold_x2
-        if purged.any():
-            ps = sizes[purged].astype(np.int64)
-            counters.add_many(
-                {
-                    "metablock_purged_blocks": int(purged.sum()),
-                    "metablock_purged_pairs": int(
-                        (ps * (ps - 1) // 2).sum()
-                    ),
-                }
-            )
+        ps = sizes[purged]
+        counters.add_many(
+            dict(zip(purge_counters, (ps.size, (ps * (ps - 1) // 2).sum())))
+        )
         keep = (sizes >= 2) & ~purged
+        bw = keep.astype(np.int64)
+        if log_n is not None:
+            idf = log_n - np.log(sizes.astype(np.float64))
+            bw = np.where(purged, 0.0, idf * idf)
         ai, bi = segment_pairs(starts[keep], sizes[keep], cap=None)
-        if ai.size == 0:
-            return _PAIR_SCHEMA.empty_table()
+        block = np.repeat(np.arange(sizes.size), sizes)
         # within a token block ids are sorted and distinct -> a < b
         pair = (ids[ai] << _ID_BITS) | ids[bi]
-        uniq, cnt = np.unique(pair, return_counts=True)
-        # mixed pair-hash bucket for the CBS combine shuffle
-        with np.errstate(over="ignore"):
-            pb = (
-                uniq.astype(np.uint64)
-                * np.uint64(0x9E3779B97F4A7C15)
-                >> np.uint64(40)
-            ) % _NUM_BUCKETS
+        parts = [(_PAIR,) + segmented_reduce(pair, bw[block[ai]], np.add)]
+        if extras:
+            row_w = bw[block]
+            m = row_w > 0
+            key0 = np.zeros(1, dtype=np.int64)
+            parts += [
+                (_RECORD,) + segmented_reduce(ids[m], row_w[m], np.add),
+                (_BLOCKS, key0, np.array([(bw > 0).sum()])),
+                (_KEPT, key0, np.array([sizes[~purged].sum()])),
+            ]
+        kinds, keys, ws = zip(*parts)
         return pa.table(
             {
-                "pair": pa.array(uniq, type=pa.int64()),
-                "partial": pa.array(
-                    cnt.astype(np.int64), type=pa.int64()
-                ),
-                "pair_bucket": pa.array(pb.astype(np.int64)),
+                "kind": np.repeat(np.int8(kinds), [len(k) for k in keys]),
+                "key": np.concatenate(keys),
+                "w": np.concatenate(ws).astype(bw.dtype),
             }
         )
 
-    return emit_bucket
+    assign = _assignments(records, id_col, text_col, block_filter)
+    out = bucketed_apply(assign, "token", kernel, _NUM_BUCKETS)
+    return out.materialize() if extras else out
 
 
-def _sizes_bucket(g: pd.DataFrame) -> pa.Table:
-    """Per token-bucket: attach the GLOBAL block size to every
-    (id, token) assignment (a token's rows all live in one bucket, so
-    the in-bucket count IS the global size) and re-key by id bucket
-    for the per-record filtering shuffle."""
-    if len(g) == 0:
-        return pa.table(
-            {
-                "id": pa.array([], type=pa.int64()),
-                "token": pa.array([], type=pa.string()),
-                "sz": pa.array([], type=pa.int64()),
-                "id_bucket": pa.array([], type=pa.int64()),
-            }
-        )
-    tok = g["token"].to_numpy()
-    ids = g["id"].to_numpy(dtype=np.int64)
-    order = np.lexsort((ids, tok))
-    tok, ids = tok[order], ids[order]
-    change = np.empty(len(tok), dtype=bool)
-    change[0] = True
-    change[1:] = tok[1:] != tok[:-1]
-    seg = np.cumsum(change) - 1
-    starts = np.flatnonzero(change)
-    sizes = np.diff(np.append(starts, len(tok))).astype(np.int64)
-    return pa.table(
-        {
-            "id": pa.array(ids, type=pa.int64()),
-            "token": pa.array(tok, type=pa.string()),
-            "sz": pa.array(sizes[seg], type=pa.int64()),
-            "id_bucket": pa.array(
-                (ids % _NUM_BUCKETS).astype(np.int64), type=pa.int64()
-            ),
-        }
+def _part(out: "ray.data.Dataset", kind: int) -> "ray.data.Dataset":
+    """The (key, w) rows of one kind of a ``_block_pass`` output."""
+    return out.map_batches(
+        lambda t: t.filter(pc.equal(t["kind"], kind)).drop_columns(["kind"]),
+        batch_format="pyarrow",
     )
 
 
-def _filter_bucket_fn(ratio_num: int, ratio_den: int):
-    """Per id-bucket BLOCK FILTERING (Papadakis et al., EDBT 2016):
-    each record keeps only its ceil(ratio * nb) SMALLEST blocks
-    (ties broken by token bytes) — the skew defense beyond purging:
-    a mid-frequency token block shrinks to the records for which it
-    is among their most selective keys. The keep rule is
-    integer-exact:  rn <= ceil(num*nb/den)  <=>
-    rn*den <= num*nb + den - 1  — no float boundary, so the SQL
-    mirror (same integer arithmetic) cannot disagree. Dropped
-    assignments are reported via the counters sidecar."""
+def _combine(
+    ds: "ray.data.Dataset",
+    ufunc=np.add,
+    min_w: int | None = None,
+    name: str | None = None,
+) -> "ray.data.Dataset":
+    """One key shuffle: reduce every key's (key, w) partials with
+    ``ufunc``, keep w >= ``min_w``. With ``name``, the key is a packed
+    pair -> (a, b, name); else -> (id, w)."""
 
-    def fn(g: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {
-                "id": pa.array([], type=pa.int64()),
-                "token": pa.array([], type=pa.string()),
-                "bucket": pa.array([], type=pa.int64()),
-            }
+    def fn(t: pa.Table) -> pa.Table:
+        key, w = segmented_reduce(
+            t["key"].to_numpy(), t["w"].to_numpy(), ufunc
         )
-        if len(g) == 0:
-            return empty
-        g = g.sort_values(
-            ["id", "sz", "token"], kind="mergesort"
-        ).reset_index(drop=True)
-        ids = g["id"].to_numpy(dtype=np.int64)
-        change = np.empty(len(ids), dtype=bool)
-        change[0] = True
-        change[1:] = ids[1:] != ids[:-1]
-        starts = np.flatnonzero(change)
-        nb = np.diff(np.append(starts, len(ids))).astype(np.int64)
-        rank = np.arange(len(ids), dtype=np.int64) - np.repeat(
-            starts, nb
-        )
-        nb_rep = np.repeat(nb, nb)
-        keep = (rank + 1) * ratio_den <= ratio_num * nb_rep + (
-            ratio_den - 1
-        )
-        dropped = int((~keep).sum())
-        if dropped:
-            counters.add_many(
-                {"metablock_filtered_assignments": dropped}
-            )
-        kept = g.loc[keep]
-        tok_arr = pa.array(kept["token"], type=pa.string())
-        bucket = (
-            _token_h64(tok_arr).astype(np.uint64) % _NUM_BUCKETS
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "id": pa.array(
-                    kept["id"].to_numpy(), type=pa.int64()
-                ),
-                "token": tok_arr,
-                "bucket": pa.array(bucket),
-            }
-        )
+        if min_w is not None:
+            m = w >= min_w
+            key, w = key[m], w[m]
+        if name is None:
+            return pa.table({"id": key, "w": w})
+        return pa.table({"a": key >> _ID_BITS, "b": key & _ID_MAX, name: w})
 
-    return fn
+    return bucketed_apply(ds, "key", fn, _NUM_BUCKETS)
 
 
 def meta_block_pairs(
@@ -260,81 +245,66 @@ def meta_block_pairs(
     """-> Dataset (a, b, common_blocks), a < b: the CBS-pruned
     candidate pairs of token blocking over ``text_col`` after purging
     blocks with 2*size > ``purge_threshold_x2`` (pass 2*cap, or the
-    corpus row count for a half-the-corpus cap).
+    corpus row count for a half-the-corpus cap), keeping pairs with
+    weight >= ``min_common``.
 
     ``block_filter=(num, den)`` (opt-in) runs BLOCK FILTERING first
-    (each record keeps its ceil(num/den * nb) smallest blocks,
-    _filter_bucket_fn) — purging then applies to the FILTERED block
-    sizes. One extra id-keyed shuffle. On zipf-vocabulary corpora
-    (real text) this is the step that keeps mid-frequency token
+    (``_assignments``) — purging then applies to the FILTERED block
+    sizes, at the cost of two extra shuffles. On zipf-vocabulary
+    corpora (real text) this is the step that keeps mid-frequency token
     blocks from surviving purging with C(n,2) cost (the planted-zipf
     pytest measures a >5x comparison-count reduction at unchanged
     recall of the planted dup pairs). CAVEAT measured on this repo's
     NEAR-UNIFORM synthetic tables: when every key is equally frequent
-    filtering cannot shrink the kept blocks, and it can even
-    RE-ADMIT a would-be-purged block by shrinking it under the purge
-    bar (the part table's 'brand' block at ratio 4/5) — filtering is
-    a knob to measure per corpus, not a free win.
+    filtering cannot shrink the kept blocks, and it can even RE-ADMIT a
+    would-be-purged block by shrinking it under the purge bar (the part
+    table's 'brand' block at ratio 4/5) — filtering is a knob to
+    measure per corpus, not a free win.
 
     ``id_col`` must be int64 ids < 2^31 (packed pair key).
     """
+    out = _block_pass(
+        records, id_col, text_col, block_filter, purge_threshold_x2
+    )
+    return _combine(_part(out, _PAIR), np.add, min_common, "common_blocks")
 
-    def reduce_pairs(g: pd.DataFrame) -> pa.Table:
-        """Vectorized CBS combine for one pair-hash bucket: sum the
-        per-token-bucket partials per packed pair (one sort + one
-        reduceat), prune below ``min_common``, unpack ids."""
-        pairk = g["pair"].to_numpy(dtype=np.int64)
-        part = g["partial"].to_numpy(dtype=np.int64)
-        if pairk.size == 0:
-            return pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "common_blocks": pa.array([], type=pa.int64()),
-                }
-            )
-        order = np.argsort(pairk, kind="stable")
-        pairk = pairk[order]
-        part = part[order]
-        change = np.empty(pairk.size, dtype=bool)
-        change[0] = True
-        change[1:] = pairk[1:] != pairk[:-1]
-        starts = np.flatnonzero(change)
-        cnt = np.add.reduceat(part, starts)
-        uniq = pairk[starts]
-        m = cnt >= min_common
+
+def _node_prune(pairs: "ray.data.Dataset", keep) -> "ray.data.Dataset":
+    """Either-endpoint node pruning over a CBS pair list: every record
+    ranks its adjacent edges (weight desc, neighbor id asc as the
+    deterministic tie-break) and ``keep(w, rank, degree, weight_sum)``
+    (per directed edge) picks the ones it retains; a pair survives if
+    EITHER endpoint retains it (the literature's redundancy-positive
+    retention). A node's neighbor list sorts within one node bucket —
+    one lexsort per bucket, never a per-node loop; skewed hubs cost
+    O(degree log degree), bounded upstream by block purging."""
+
+    def both_dirs(t: pa.Table) -> pa.Table:
+        a, b, w = (t[c].to_numpy() for c in ("a", "b", "common_blocks"))
         return pa.table(
             {
-                "a": pa.array(uniq[m] >> _ID_BITS, type=pa.int64()),
-                "b": pa.array(uniq[m] & _ID_MAX, type=pa.int64()),
-                "common_blocks": pa.array(
-                    cnt[m].astype(np.int64), type=pa.int64()
-                ),
+                "node": np.concatenate([a, b]),
+                "nbr": np.concatenate([b, a]),
+                "w": np.concatenate([w, w]),
             }
         )
 
-    assignments = records.map_batches(
-        _tok_rows_fn(id_col, text_col), batch_format="pyarrow"
-    )
-    if block_filter is not None:
-        num, den = block_filter
-        assignments = (
-            assignments.groupby("bucket")
-            .map_groups(_sizes_bucket, batch_format="pandas")
-            .groupby("id_bucket")
-            .map_groups(
-                _filter_bucket_fn(num, den), batch_format="pandas"
-            )
-        )
-    return (
-        assignments.groupby("bucket")
-        .map_groups(
-            _emit_bucket_fn(purge_threshold_x2),
-            batch_format="pandas",
-        )
-        .groupby("pair_bucket")
-        .map_groups(reduce_pairs, batch_format="pandas")
-    )
+    def prune(t: pa.Table) -> pa.Table:
+        node, nbr, w = (t[c].to_numpy() for c in ("node", "nbr", "w"))
+        order = np.lexsort((nbr, -w, node))
+        node, nbr, w = node[order], nbr[order], w[order]
+        starts, deg = segments(node)
+        rank = np.arange(node.size) - segment_starts_repeat(starts, deg)
+        sums = np.add.reduceat(w, starts) if starts.size else starts
+        m = keep(w, rank, np.repeat(deg, deg), np.repeat(sums, deg))
+        lo = np.minimum(node, nbr)[m]
+        hi = np.maximum(node, nbr)[m]
+        return pa.table({"key": (lo << _ID_BITS) | hi, "w": w[m]})
+
+    directed = pairs.map_batches(both_dirs, batch_format="pyarrow")
+    kept = bucketed_apply(directed, "node", prune, _NUM_BUCKETS)
+    # a pair retained from both sides carries the same weight twice
+    return _combine(kept, np.maximum, None, "common_blocks")
 
 
 def meta_block_topk(
@@ -348,21 +318,12 @@ def meta_block_topk(
     block_filter: tuple[int, int] | None = None,
 ) -> "ray.data.Dataset":
     """Cardinality node pruning (CNP) over the CBS blocking graph:
-    each record retains its ``k`` strongest neighbors (weight desc,
-    neighbor id asc as the deterministic tie-break), and a comparison
-    survives if EITHER endpoint retains it (the literature's
-    redundancy-positive retention — Papadakis et al. TKDE 2014). The
-    WEP weight floor (``min_common``) runs first, so CNP prunes the
+    each record retains its ``k`` strongest neighbors and a comparison
+    survives if EITHER endpoint retains it (``_node_prune``). The WEP
+    weight floor (``min_common``) runs first, so CNP prunes the
     already-thinned graph.
 
     -> Dataset (a, b, common_blocks), a < b, the CNP-retained pairs.
-
-    Scale shape: the top-k is node-bucketed (each node's directed
-    neighbor list sorts within one bucket — one lexsort + rank per
-    bucket, never a per-node loop); the either-endpoint union dedups
-    on the packed pair key through a second bucketed pass. Skewed
-    hubs cost O(degree log degree) in their bucket, bounded upstream
-    by block purging.
     """
     pairs = meta_block_pairs(
         records,
@@ -372,109 +333,39 @@ def meta_block_topk(
         min_common=min_common,
         block_filter=block_filter,
     )
+    return _node_prune(pairs, lambda w, rank, deg, sums: rank < k)
 
-    def topk_bucket(g: pd.DataFrame) -> pa.Table:
-        node = g["node"].to_numpy(dtype=np.int64)
-        nbr = g["nbr"].to_numpy(dtype=np.int64)
-        w = g["w"].to_numpy(dtype=np.int64)
-        if node.size == 0:
-            return _PAIR_SCHEMA.empty_table()
-        # rank per node: weight desc, nbr asc
-        order = np.lexsort((nbr, -w, node))
-        node, nbr, w = node[order], nbr[order], w[order]
-        change = np.empty(node.size, dtype=bool)
-        change[0] = True
-        change[1:] = node[1:] != node[:-1]
-        seg = np.cumsum(change) - 1
-        starts = np.flatnonzero(change)
-        rank = np.arange(node.size) - starts[seg]
-        m = rank < k
-        return _retained_pairs(node[m], nbr[m], w[m])
 
-    return (
-        pairs.map_batches(_both_dirs, batch_format="pyarrow")
-        .groupby("node_bucket")
-        .map_groups(topk_bucket, batch_format="pandas")
-        .groupby("pair_bucket")
-        .map_groups(_dedup_pairs, batch_format="pandas")
+def meta_block_wnp(
+    records: "ray.data.Dataset",
+    id_col: str,
+    text_col: str,
+    *,
+    purge_threshold_x2: int,
+    min_common: int = 2,
+    block_filter: tuple[int, int] | None = None,
+) -> "ray.data.Dataset":
+    """Weighted node pruning (WNP) over the CBS blocking graph: each
+    node's local threshold is the MEAN weight of its adjacent edges,
+    and a comparison survives if its weight reaches the threshold of
+    EITHER endpoint (``_node_prune``; the weight-based sibling of
+    CNP/``meta_block_topk``). The WEP weight floor (``min_common``)
+    runs first. The mean compare is INTEGER-exact (w * degree >=
+    sum_w; w and degree are bounded by block sizes well under 2^31),
+    so there is no float boundary to disagree with an avg()-based SQL
+    oracle.
+
+    -> Dataset (a, b, common_blocks), a < b, the WNP-retained pairs.
+    """
+    pairs = meta_block_pairs(
+        records,
+        id_col,
+        text_col,
+        purge_threshold_x2=purge_threshold_x2,
+        min_common=min_common,
+        block_filter=block_filter,
     )
-
-
-def _both_dirs(t: pa.Table) -> pa.Table:
-    """Directed view of the CBS pair list, bucketed by node hash:
-    each undirected pair becomes two (node, nbr, w) rows so a node's
-    full neighbor list co-locates in one bucket."""
-    a = t["a"].combine_chunks().to_numpy(zero_copy_only=False)
-    b = t["b"].combine_chunks().to_numpy(zero_copy_only=False)
-    w = t["common_blocks"].combine_chunks().to_numpy(
-        zero_copy_only=False
-    )
-    node = np.concatenate([a, b])
-    nbr = np.concatenate([b, a])
-    ww = np.concatenate([w, w])
-    with np.errstate(over="ignore"):
-        nb = (
-            node.astype(np.uint64)
-            * np.uint64(0x9E3779B97F4A7C15)
-            >> np.uint64(40)
-        ) % _NUM_BUCKETS
-    return pa.table(
-        {
-            "node": pa.array(node, type=pa.int64()),
-            "nbr": pa.array(nbr, type=pa.int64()),
-            "w": pa.array(ww, type=pa.int64()),
-            "node_bucket": pa.array(nb.astype(np.int64)),
-        }
-    )
-
-
-def _retained_pairs(
-    node: np.ndarray, nbr: np.ndarray, w: np.ndarray
-) -> pa.Table:
-    """Pack a bucket's retained directed edges back to undirected
-    pair keys. Either-endpoint union: the same pair may be retained
-    from both sides of this bucket — combine before the dedup pass."""
-    a = np.minimum(node, nbr)
-    b = np.maximum(node, nbr)
-    pair = (a << _ID_BITS) | b
-    uniq, idx = np.unique(pair, return_index=True)
-    with np.errstate(over="ignore"):
-        pb = (
-            uniq.astype(np.uint64)
-            * np.uint64(0x9E3779B97F4A7C15)
-            >> np.uint64(40)
-        ) % _NUM_BUCKETS
-    return pa.table(
-        {
-            "pair": pa.array(uniq, type=pa.int64()),
-            "partial": pa.array(
-                w[idx], type=pa.int64()
-            ),  # weight rides along (same for both directions)
-            "pair_bucket": pa.array(pb.astype(np.int64)),
-        }
-    )
-
-
-def _dedup_pairs(g: pd.DataFrame) -> pa.Table:
-    """Cross-bucket either-endpoint union: one row per packed pair."""
-    pairk = g["pair"].to_numpy(dtype=np.int64)
-    w = g["partial"].to_numpy(dtype=np.int64)
-    if pairk.size == 0:
-        return pa.table(
-            {
-                "a": pa.array([], type=pa.int64()),
-                "b": pa.array([], type=pa.int64()),
-                "common_blocks": pa.array([], type=pa.int64()),
-            }
-        )
-    uniq, idx = np.unique(pairk, return_index=True)
-    return pa.table(
-        {
-            "a": pa.array(uniq >> _ID_BITS, type=pa.int64()),
-            "b": pa.array(uniq & _ID_MAX, type=pa.int64()),
-            "common_blocks": pa.array(w[idx], type=pa.int64()),
-        }
-    )
+    return _node_prune(pairs, lambda w, rank, deg, sums: w * deg >= sums)
 
 
 def meta_block_wep(
@@ -487,17 +378,15 @@ def meta_block_wep(
 ) -> "ray.data.Dataset":
     """Weighted edge pruning (WEP) over the CBS blocking graph: one
     GLOBAL threshold — the mean edge weight of the whole graph — and
-    every comparison at or above it survives (Papadakis et al. TKDE
-    2014's WEP; completes the WEP/WNP/CNP pruning trio with
-    ``meta_block_wnp`` / ``meta_block_topk``).
+    every comparison at or above it survives (completes the WEP/WNP/CNP
+    pruning trio with ``meta_block_wnp`` / ``meta_block_topk``).
 
     -> Dataset (a, b, common_blocks), a < b, the WEP-retained pairs.
 
-    Scale shape: the pair list is materialized once in the object
-    store (it is consumed twice: a scalar sum/count aggregate, then
-    the filter); only TWO scalars reach the driver and the compare is
-    integer-exact (w * n_pairs >= sum_w), so an avg()-based SQL
-    oracle cannot float-disagree.
+    The pair list is materialized once (it is consumed twice: a scalar
+    sum/count aggregate, then the filter); only TWO scalars reach the
+    driver and the compare is integer-exact (w * n_pairs >= sum_w), so
+    an avg()-based SQL oracle cannot float-disagree.
     """
     pairs = meta_block_pairs(
         records,
@@ -513,9 +402,7 @@ def meta_block_wep(
     sum_w = int(pairs.sum("common_blocks"))
 
     def keep(t: pa.Table) -> pa.Table:
-        w = t["common_blocks"].combine_chunks().to_numpy(
-            zero_copy_only=False
-        )
+        w = t["common_blocks"].to_numpy()
         return t.filter(pa.array(w * n_pairs >= sum_w))
 
     return pairs.map_batches(keep, batch_format="pyarrow")
@@ -531,152 +418,57 @@ def meta_block_cep(
 ) -> "ray.data.Dataset":
     """Cardinality EDGE pruning (CEP) over the CBS blocking graph:
     retain the K globally highest-weight comparisons, K = half the
-    number of post-purge block assignments (Papadakis et al. TKDE
-    2014's CEP — the global-budget sibling of CNP's per-node k).
-    Deterministic tie-break (weight desc, a asc, b asc) so the SQL
-    row_number() mirror agrees row-for-row.
+    number of post-purge block assignments (the global-budget sibling
+    of CNP's per-node k). Deterministic tie-break (weight desc, a asc,
+    b asc) so the SQL row_number() mirror agrees row-for-row.
 
     -> Dataset (a, b, common_blocks): the K retained pairs.
 
-    Scale shape: the pair list comes from the shared bucketed CBS
-    path at min_common=1; the top-K is one distributed sort + limit
-    (Ray's range-partitioned sort — never a driver-side heap); K
-    itself is one count aggregate over the retained assignments.
+    K is the _KEPT tally of the same token pass that emits the pairs;
+    the top-K is one distributed sort + limit (Ray's range-partitioned
+    sort — never a driver-side heap).
     """
-    pairs = meta_block_pairs(
-        records,
-        id_col,
-        text_col,
-        purge_threshold_x2=purge_threshold_x2,
-        min_common=1,
-        block_filter=block_filter,
+    out = _block_pass(
+        records, id_col, text_col, block_filter, purge_threshold_x2,
+        extras=True,
     )
-
-    assignments = records.map_batches(
-        _tok_rows_fn(id_col, text_col), batch_format="pyarrow"
-    )
-    if block_filter is not None:
-        num, den = block_filter
-        assignments = (
-            assignments.groupby("bucket")
-            .map_groups(_sizes_bucket, batch_format="pandas")
-            .groupby("id_bucket")
-            .map_groups(
-                _filter_bucket_fn(num, den), batch_format="pandas"
-            )
-        )
-    retained = (
-        assignments.groupby("bucket")
-        .map_groups(_sizes_bucket, batch_format="pandas")
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "n": pa.array(
-                        [
-                            int(
-                                (
-                                    2
-                                    * t["sz"].to_numpy(
-                                        zero_copy_only=False
-                                    )
-                                    <= purge_threshold_x2
-                                ).sum()
-                            )
-                        ],
-                        type=pa.int64(),
-                    )
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .sum("n")
-    )
-    k = int(retained) // 2
+    k = int(_part(out, _KEPT).sum("w") or 0) // 2
+    pairs = _combine(_part(out, _PAIR), np.add, 1, "common_blocks")
     return pairs.sort(
-        ["common_blocks", "a", "b"],
-        descending=[True, False, False],
+        ["common_blocks", "a", "b"], descending=[True, False, False]
     ).limit(k)
 
 
-def meta_block_wnp(
-    records: "ray.data.Dataset",
-    id_col: str,
-    text_col: str,
-    *,
-    purge_threshold_x2: int,
-    min_common: int = 2,
-    block_filter: tuple[int, int] | None = None,
+def _attach(
+    out: "ray.data.Dataset",
+    min_w: int | None,
+    w_name: str,
+    names: tuple[str, str],
+    typ: pa.DataType,
 ) -> "ray.data.Dataset":
-    """Weighted node pruning (WNP) over the CBS blocking graph: each
-    node's local threshold is the MEAN weight of its adjacent edges,
-    and a comparison survives if its weight reaches the threshold of
-    EITHER endpoint (the redundancy-positive retention — Papadakis et
-    al. TKDE 2014's WNP, the weight-based sibling of CNP/
-    ``meta_block_topk``). The WEP weight floor (``min_common``) runs
-    first.
-
-    -> Dataset (a, b, common_blocks), a < b, the WNP-retained pairs.
-
-    Scale shape: identical to CNP — node-bucketed neighbor lists (one
-    argsort + reduceat per bucket, never a per-node loop), then the
-    bucketed pair-key union. The mean compare is INTEGER-exact
-    (w * degree >= sum_w), so there is no float boundary to disagree
-    with an avg()-based SQL oracle.
-    """
-    pairs = meta_block_pairs(
-        records,
-        id_col,
-        text_col,
-        purge_threshold_x2=purge_threshold_x2,
-        min_common=min_common,
-        block_filter=block_filter,
-    )
-
-    def wnp_bucket(g: pd.DataFrame) -> pa.Table:
-        node = g["node"].to_numpy(dtype=np.int64)
-        nbr = g["nbr"].to_numpy(dtype=np.int64)
-        w = g["w"].to_numpy(dtype=np.int64)
-        if node.size == 0:
-            return _PAIR_SCHEMA.empty_table()
-        order = np.argsort(node, kind="stable")
-        node, nbr, w = node[order], nbr[order], w[order]
-        change = np.empty(node.size, dtype=bool)
-        change[0] = True
-        change[1:] = node[1:] != node[:-1]
-        seg = np.cumsum(change) - 1
-        starts = np.flatnonzero(change)
-        sums = np.add.reduceat(w, starts)
-        deg = np.diff(np.append(starts, node.size)).astype(np.int64)
-        # w >= mean  <=>  w * deg >= sum  (exact in int64: w, deg
-        # both bounded by block sizes well under 2^31)
-        m = w * deg[seg] >= sums[seg]
-        return _retained_pairs(node[m], nbr[m], w[m])
-
-    return (
-        pairs.map_batches(_both_dirs, batch_format="pyarrow")
-        .groupby("node_bucket")
-        .map_groups(wnp_bucket, batch_format="pandas")
-        .groupby("pair_bucket")
-        .map_groups(_dedup_pairs, batch_format="pandas")
-    )
-
-
-def _kept_segments(g: pd.DataFrame, purge_threshold_x2: int):
-    """Shared per-token-bucket segmentation: (ids sorted by token,
-    per-row kept mask, kept segment count) under the standard keep
-    rule — block size >= 2 and not purged (2*size <= threshold)."""
-    tok = g["token"].to_numpy()
-    ids = g["id"].to_numpy(dtype=np.int64)
-    order = np.lexsort((ids, tok))
-    tok, ids = tok[order], ids[order]
-    change = np.empty(len(tok), dtype=bool)
-    change[0] = True
-    change[1:] = tok[1:] != tok[:-1]
-    starts = np.flatnonzero(change)
-    sizes = np.diff(np.append(starts, len(tok))).astype(np.int64)
-    keep = (sizes >= 2) & (2 * sizes <= purge_threshold_x2)
-    row_keep = np.repeat(keep, sizes)
-    return ids, row_keep, int(keep.sum())
+    """The pairs of an ``extras`` ``_block_pass`` output, (a, b,
+    ``w_name``), with each endpoint's summed _RECORD weight attached —
+    as ``names[0]`` for a, ``names[1]`` for b — by two distributed
+    bucketed hash joins."""
+    pairs = _combine(_part(out, _PAIR), np.add, min_w, w_name)
+    nodes = _combine(_part(out, _RECORD)).materialize()
+    left = {"a": pa.int64(), "b": pa.int64(), w_name: typ}
+    for end, name in zip("ab", names):
+        side = nodes.map_batches(
+            lambda t, c=name: pa.table({"id": t["id"], c: t["w"]}),
+            batch_format="pyarrow",
+        )
+        pairs = bucket_join(
+            pairs,
+            side,
+            left_on=end,
+            right_on="id",
+            left_schema=left,
+            right_schema={"id": pa.int64(), name: typ},
+        )
+        # a fresh dict: bucket_join reads its schema lazily
+        left = {**left, name: typ}
+    return pairs
 
 
 def meta_block_weights(
@@ -688,184 +480,45 @@ def meta_block_weights(
     min_common: int = 1,
     block_filter: tuple[int, int] | None = None,
 ) -> "ray.data.Dataset":
-    """Blocking-graph EDGE WEIGHTING SCHEMES beyond raw CBS
-    (Papadakis et al. TKDE 2014 §4.1): for every CBS candidate pair,
-    attach the per-node block cardinalities and the two normalized
-    weights the pruning literature actually ranks by —
+    """Blocking-graph EDGE WEIGHTING SCHEMES beyond raw CBS (TKDE 2014
+    §4.1): for every CBS candidate pair, attach the per-node block
+    cardinalities and the two normalized weights the pruning literature
+    actually ranks by —
 
         js   = cbs / (|Bi| + |Bj| - cbs)        (Jaccard scheme)
         ecbs = cbs * log10(B/|Bi|) * log10(B/|Bj|)   (Enhanced CBS)
 
     where |Bi| = number of KEPT blocks containing record i and B =
-    total kept blocks (kept = post-purge, size >= 2 — the blocks
-    that generate at least one comparison; hapax tokens, the bulk of
-    a webtext vocabulary, are excluded from every cardinality by the
-    same rule on both the Ray and SQL sides). JS down-weights hub
-    records that co-occur with everything; ECBS is CBS with an
-    IDF-style correction. Both are pure ratios/products of exact
-    integers, so round(w, 6) matches a DuckDB double oracle.
+    total kept blocks (kept = post-purge, size >= 2 — the blocks that
+    generate at least one comparison; hapax tokens, the bulk of a
+    webtext vocabulary, are excluded from every cardinality by the same
+    rule on both the Ray and SQL sides). JS down-weights hub records
+    that co-occur with everything; ECBS is CBS with an IDF-style
+    correction. Both are pure ratios/products of exact integers, so
+    round(w, 6) matches a DuckDB double oracle.
 
     -> Dataset (a, b, cbs, bi, bj, js, ecbs), a < b.
 
-    Scale shape: the pair list is the shared bucketed CBS path; node
-    cardinalities are one extra token-bucket pass with per-bucket
-    np.unique partials summed by an id-keyed bucket shuffle (never a
-    per-node loop, nothing driver-sized); B is a scalar sum; the
-    attach is two distributed bucketed hash joins (pr_curve's shape)
-    with the tiny B broadcast in the finisher closure.
+    |Bi| and B come from the same token pass as the pairs (its _RECORD
+    rows and _BLOCKS tally); B rides to the finisher as a scalar.
     """
-    from ..stages.join import bucket_join
-
-    pairs = meta_block_pairs(
-        records,
-        id_col,
-        text_col,
-        purge_threshold_x2=purge_threshold_x2,
-        min_common=min_common,
-        block_filter=block_filter,
+    out = _block_pass(
+        records, id_col, text_col, block_filter, purge_threshold_x2,
+        extras=True,
     )
-
-    assignments = records.map_batches(
-        _tok_rows_fn(id_col, text_col), batch_format="pyarrow"
-    )
-    if block_filter is not None:
-        num, den = block_filter
-        assignments = (
-            assignments.groupby("bucket")
-            .map_groups(_sizes_bucket, batch_format="pandas")
-            .groupby("id_bucket")
-            .map_groups(
-                _filter_bucket_fn(num, den), batch_format="pandas"
-            )
-        )
-        assignments = assignments.materialize()
-
-    def block_count_bucket(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return pa.table({"nb": pa.array([0], type=pa.int64())})
-        _, _, n_kept = _kept_segments(g, purge_threshold_x2)
-        return pa.table({"nb": pa.array([n_kept], type=pa.int64())})
-
-    total_blocks = int(
-        assignments.groupby("bucket")
-        .map_groups(block_count_bucket, batch_format="pandas")
-        .sum("nb")
-        or 0
-    )
-
-    def node_partials(g: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {
-                "id": pa.array([], type=pa.int64()),
-                "part": pa.array([], type=pa.int64()),
-                "id_bucket": pa.array([], type=pa.int64()),
-            }
-        )
-        if len(g) == 0:
-            return empty
-        ids, row_keep, _ = _kept_segments(g, purge_threshold_x2)
-        kept_ids = ids[row_keep]
-        if kept_ids.size == 0:
-            return empty
-        uid, cnt = np.unique(kept_ids, return_counts=True)
-        return pa.table(
-            {
-                "id": pa.array(uid, type=pa.int64()),
-                "part": pa.array(
-                    cnt.astype(np.int64), type=pa.int64()
-                ),
-                "id_bucket": pa.array(
-                    (uid % _NUM_BUCKETS).astype(np.int64)
-                ),
-            }
-        )
-
-    def sum_node(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return pa.table(
-                {
-                    "id": pa.array([], type=pa.int64()),
-                    "nb": pa.array([], type=pa.int64()),
-                }
-            )
-        s = g.groupby("id", sort=False)["part"].sum()
-        return pa.table(
-            {
-                "id": pa.array(
-                    s.index.to_numpy(dtype=np.int64), type=pa.int64()
-                ),
-                "nb": pa.array(
-                    s.to_numpy(dtype=np.int64), type=pa.int64()
-                ),
-            }
-        )
-
-    nodes = (
-        assignments.groupby("bucket")
-        .map_groups(node_partials, batch_format="pandas")
-        .groupby("id_bucket")
-        .map_groups(sum_node, batch_format="pandas")
-    )
-
-    def side(n: str):
-        return nodes.map_batches(
-            lambda t, c=n: pa.table({"id": t["id"], c: t["nb"]}),
-            batch_format="pyarrow",
-        )
-
-    pair_schema = {
-        "a": pa.int64(),
-        "b": pa.int64(),
-        "common_blocks": pa.int64(),
-    }
-    j1 = bucket_join(
-        pairs,
-        side("bi"),
-        left_on="a",
-        right_on="id",
-        left_schema=pair_schema,
-        right_schema={"id": pa.int64(), "bi": pa.int64()},
-    )
-    j2 = bucket_join(
-        j1,
-        side("bj"),
-        left_on="b",
-        right_on="id",
-        left_schema={**pair_schema, "bi": pa.int64()},
-        right_schema={"id": pa.int64(), "bj": pa.int64()},
-    )
+    total_blocks = int(_part(out, _BLOCKS).sum("w") or 0)
+    joined = _attach(out, min_common, "cbs", ("bi", "bj"), pa.int64())
 
     def weigh(t: pa.Table) -> pa.Table:
-        cbs = t["common_blocks"].combine_chunks().to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
-        bi = t["bi"].combine_chunks().to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
-        bj = t["bj"].combine_chunks().to_numpy(
-            zero_copy_only=False
-        ).astype(np.float64)
+        cbs, bi, bj = (
+            t[c].to_numpy().astype(np.float64) for c in ("cbs", "bi", "bj")
+        )
         js = cbs / (bi + bj - cbs)
-        ecbs = (
-            cbs
-            * np.log10(total_blocks / bi)
-            * np.log10(total_blocks / bj)
-        )
-        return pa.table(
-            {
-                "a": t["a"],
-                "b": t["b"],
-                "cbs": t["common_blocks"],
-                "bi": t["bi"],
-                "bj": t["bj"],
-                "js": pa.array(np.round(js, 6), type=pa.float64()),
-                "ecbs": pa.array(
-                    np.round(ecbs, 6), type=pa.float64()
-                ),
-            }
-        )
+        ecbs = cbs * np.log10(total_blocks / bi) * np.log10(total_blocks / bj)
+        t = t.append_column("js", pa.array(np.round(js, 6)))
+        return t.append_column("ecbs", pa.array(np.round(ecbs, 6)))
 
-    return j2.map_batches(weigh, batch_format="pyarrow")
+    return joined.map_batches(weigh, batch_format="pyarrow")
 
 
 def tfidf_cosine_pairs(
@@ -876,269 +529,41 @@ def tfidf_cosine_pairs(
     n_records: int,
     threshold: float,
 ) -> "ray.data.Dataset":
-    """TF-IDF COSINE similarity self-join (WHIRL, Cohen SIGMOD
-    1998): every record is an idf-weighted set vector over its
-    distinct tokens and pairs with cosine >= ``threshold`` are
-    emitted — the soft-matching comparison measure classic ER stacks
-    rank string pairs by, complementing the char-level kernels
-    (Jaro-Winkler / Levenshtein) and the unweighted set measures
-    (jaccard/cosine/dice in setsim_neardup) already in-repo.
+    """TF-IDF COSINE similarity self-join (WHIRL, Cohen SIGMOD 1998):
+    every record is an idf-weighted set vector over its distinct tokens
+    and pairs with cosine >= ``threshold`` are emitted — the
+    soft-matching comparison measure classic ER stacks rank string
+    pairs by, complementing the char-level kernels (Jaro-Winkler /
+    Levenshtein) and the unweighted set measures (jaccard/cosine/dice
+    in setsim_neardup) already in-repo.
 
         idf_t     = ln(N / df_t)           (set semantics, tf = 1)
         cos(i,j)  = sum_{t in Ti∩Tj} idf_t^2 / (||vi|| * ||vj||)
 
-    Near-stopword tokens with 2*df > N (more than half the corpus)
-    are dropped from every vector on BOTH the Ray and SQL sides —
-    their idf is < ln 2 and they are exactly the blocks that would
-    cost C(n,2) pair emission (the same purge rule meta-blocking
-    uses, here doubling as the skew defense).
+    Near-stopword tokens with 2*df > N (more than half the corpus) are
+    dropped from every vector on BOTH the Ray and SQL sides — their idf
+    is < ln 2 and they are exactly the blocks that would cost C(n,2)
+    pair emission (the meta-blocking purge rule, here doubling as the
+    skew defense).
 
     -> Dataset (a, b, cosine), a < b, cosine rounded to 6.
 
-    Scale shape: one token-bucket shuffle computes df/idf in-bucket
-    (a token's rows co-locate) and emits BOTH per-record norm
-    partials and per-pair dot partials (idf^2 summed per packed pair
-    within the bucket — np.add.reduceat, no Python loop); an
-    id-keyed bucket shuffle sums the norms; a pair-keyed bucket
-    shuffle sums the dots; two distributed bucketed hash joins attach
-    the endpoint norms; the finisher divides and filters. Nothing is
-    driver-sized and no all-pairs step exists outside a token block
-    bounded by the purge rule.
+    This is CBS with idf^2 block weights: the dot products are the
+    summed pair partials and the squared norms the summed _RECORD rows
+    of one token pass (hapax tokens included), both summed in sorted
+    order so the result does not depend on block layout.
     """
-    from ..stages.join import bucket_join
-
-    log_n = float(np.log(float(n_records)))
-
-    assignments = records.map_batches(
-        _tok_rows_fn(id_col, text_col), batch_format="pyarrow"
+    out = _block_pass(
+        records, id_col, text_col, None, n_records, n_records=n_records,
+        extras=True,
     )
-
-    def norm_partials(g: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {
-                "id": pa.array([], type=pa.int64()),
-                "part": pa.array([], type=pa.float64()),
-                "id_bucket": pa.array([], type=pa.int64()),
-            }
-        )
-        if len(g) == 0:
-            return empty
-        tok = g["token"].to_numpy()
-        ids = g["id"].to_numpy(dtype=np.int64)
-        order = np.lexsort((ids, tok))
-        tok, ids = tok[order], ids[order]
-        change = np.empty(len(tok), dtype=bool)
-        change[0] = True
-        change[1:] = tok[1:] != tok[:-1]
-        starts = np.flatnonzero(change)
-        sizes = np.diff(np.append(starts, len(tok))).astype(np.int64)
-        kept = 2 * sizes <= n_records
-        row_keep = np.repeat(kept, sizes)
-        if not row_keep.any():
-            return empty
-        idf = log_n - np.log(sizes.astype(np.float64))
-        idf2_row = np.repeat(idf * idf, sizes)[row_keep]
-        ids_k = ids[row_keep]
-        # per-id partial sums within this bucket (ids not contiguous
-        # after the token sort -> one more argsort + reduceat)
-        o2 = np.argsort(ids_k, kind="stable")
-        ids_k, idf2_row = ids_k[o2], idf2_row[o2]
-        ch = np.empty(ids_k.size, dtype=bool)
-        ch[0] = True
-        ch[1:] = ids_k[1:] != ids_k[:-1]
-        st = np.flatnonzero(ch)
-        return pa.table(
-            {
-                "id": pa.array(ids_k[st], type=pa.int64()),
-                "part": pa.array(
-                    np.add.reduceat(idf2_row, st), type=pa.float64()
-                ),
-                "id_bucket": pa.array(
-                    (ids_k[st] % _NUM_BUCKETS).astype(np.int64)
-                ),
-            }
-        )
-
-    def sum_norm(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return pa.table(
-                {
-                    "id": pa.array([], type=pa.int64()),
-                    "n2": pa.array([], type=pa.float64()),
-                }
-            )
-        s = g.groupby("id", sort=False)["part"].sum()
-        return pa.table(
-            {
-                "id": pa.array(
-                    s.index.to_numpy(dtype=np.int64), type=pa.int64()
-                ),
-                "n2": pa.array(
-                    s.to_numpy(dtype=np.float64), type=pa.float64()
-                ),
-            }
-        )
-
-    norms = (
-        assignments.groupby("bucket")
-        .map_groups(norm_partials, batch_format="pandas")
-        .groupby("id_bucket")
-        .map_groups(sum_norm, batch_format="pandas")
-    )
-
-    _DOT_SCHEMA = pa.schema(
-        [
-            ("pair", pa.int64()),
-            ("partial", pa.float64()),
-            ("pair_bucket", pa.int64()),
-        ]
-    )
-
-    def dot_partials(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return _DOT_SCHEMA.empty_table()
-        tok = g["token"].to_numpy()
-        ids = g["id"].to_numpy(dtype=np.int64)
-        if ids.size and int(ids.max()) > _ID_MAX:
-            raise ValueError(
-                "tfidf_cosine_pairs ids must fit in 31 bits for the "
-                "packed pair key; re-key to dense int64 first"
-            )
-        order = np.lexsort((ids, tok))
-        tok, ids = tok[order], ids[order]
-        change = np.empty(len(tok), dtype=bool)
-        change[0] = True
-        change[1:] = tok[1:] != tok[:-1]
-        starts = np.flatnonzero(change)
-        sizes = np.diff(np.append(starts, len(tok))).astype(np.int64)
-        purged = 2 * sizes > n_records
-        if purged.any():
-            ps = sizes[purged].astype(np.int64)
-            counters.add_many(
-                {
-                    "tfidf_cos_purged_tokens": int(purged.sum()),
-                    "tfidf_cos_purged_pairs": int(
-                        (ps * (ps - 1) // 2).sum()
-                    ),
-                }
-            )
-        keep = (sizes >= 2) & ~purged
-        ai, bi = segment_pairs(starts[keep], sizes[keep], cap=None)
-        if ai.size == 0:
-            return _DOT_SCHEMA.empty_table()
-        idf = log_n - np.log(sizes.astype(np.float64))
-        seg = np.cumsum(change) - 1
-        w_pair = (idf * idf)[seg[ai]]
-        pair = (ids[ai] << _ID_BITS) | ids[bi]
-        o2 = np.argsort(pair, kind="stable")
-        pair, w_pair = pair[o2], w_pair[o2]
-        ch = np.empty(pair.size, dtype=bool)
-        ch[0] = True
-        ch[1:] = pair[1:] != pair[:-1]
-        st = np.flatnonzero(ch)
-        uniq = pair[st]
-        dots = np.add.reduceat(w_pair, st)
-        with np.errstate(over="ignore"):
-            pb = (
-                uniq.astype(np.uint64)
-                * np.uint64(0x9E3779B97F4A7C15)
-                >> np.uint64(40)
-            ) % _NUM_BUCKETS
-        return pa.table(
-            {
-                "pair": pa.array(uniq, type=pa.int64()),
-                "partial": pa.array(dots, type=pa.float64()),
-                "pair_bucket": pa.array(pb.astype(np.int64)),
-            }
-        )
-
-    def sum_dots(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "dot": pa.array([], type=pa.float64()),
-                }
-            )
-        pairk = g["pair"].to_numpy(dtype=np.int64)
-        part = g["partial"].to_numpy(dtype=np.float64)
-        order = np.argsort(pairk, kind="stable")
-        pairk, part = pairk[order], part[order]
-        ch = np.empty(pairk.size, dtype=bool)
-        ch[0] = True
-        ch[1:] = pairk[1:] != pairk[:-1]
-        st = np.flatnonzero(ch)
-        uniq = pairk[st]
-        return pa.table(
-            {
-                "a": pa.array(uniq >> _ID_BITS, type=pa.int64()),
-                "b": pa.array(uniq & _ID_MAX, type=pa.int64()),
-                "dot": pa.array(
-                    np.add.reduceat(part, st), type=pa.float64()
-                ),
-            }
-        )
-
-    dots = (
-        assignments.groupby("bucket")
-        .map_groups(dot_partials, batch_format="pandas")
-        .groupby("pair_bucket")
-        .map_groups(sum_dots, batch_format="pandas")
-    )
-
-    def side(n: str):
-        return norms.map_batches(
-            lambda t, c=n: pa.table({"id": t["id"], c: t["n2"]}),
-            batch_format="pyarrow",
-        )
-
-    j1 = bucket_join(
-        dots,
-        side("n2a"),
-        left_on="a",
-        right_on="id",
-        left_schema={
-            "a": pa.int64(),
-            "b": pa.int64(),
-            "dot": pa.float64(),
-        },
-        right_schema={"id": pa.int64(), "n2a": pa.float64()},
-    )
-    j2 = bucket_join(
-        j1,
-        side("n2b"),
-        left_on="b",
-        right_on="id",
-        left_schema={
-            "a": pa.int64(),
-            "b": pa.int64(),
-            "dot": pa.float64(),
-            "n2a": pa.float64(),
-        },
-        right_schema={"id": pa.int64(), "n2b": pa.float64()},
-    )
+    joined = _attach(out, None, "dot", ("n2a", "n2b"), pa.float64())
 
     def finish(t: pa.Table) -> pa.Table:
-        dot = t["dot"].combine_chunks().to_numpy(
-            zero_copy_only=False
-        )
-        n2a = t["n2a"].combine_chunks().to_numpy(
-            zero_copy_only=False
-        )
-        n2b = t["n2b"].combine_chunks().to_numpy(
-            zero_copy_only=False
-        )
+        dot, n2a, n2b = (t[c].to_numpy() for c in ("dot", "n2a", "n2b"))
         cos = dot / np.sqrt(n2a * n2b)
         m = cos >= threshold
-        return pa.table(
-            {
-                "a": t["a"].combine_chunks().filter(pa.array(m)),
-                "b": t["b"].combine_chunks().filter(pa.array(m)),
-                "cosine": pa.array(
-                    np.round(cos[m], 6), type=pa.float64()
-                ),
-            }
-        )
+        t = t.select(["a", "b"]).filter(pa.array(m))
+        return t.append_column("cosine", pa.array(np.round(cos[m], 6)))
 
-    return j2.map_batches(finish, batch_format="pyarrow")
+    return joined.map_batches(finish, batch_format="pyarrow")

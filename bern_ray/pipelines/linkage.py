@@ -83,13 +83,23 @@ def extract_normalize_mentions(
     holding object refs break actor RESTART if the ref is lost (ray
     issue #53727), and per-actor build is cheaper than that risk for
     dictionaries this small. A deployment with multi-GB dictionaries
-    passes tables_ref explicitly and owns the ref's lifetime."""
+    passes tables_ref explicitly and owns the ref's lifetime.
+
+    The extraction and normalization pools never restart an actor
+    (``max_restarts=0``; Ray Data's default of -1 re-creates an actor
+    that cannot start without end): a dead actor fails the dataset, and
+    a long run resumes from its stage checkpoints (``--checkpoint``)
+    instead. The scorer pool keeps the default: a remote arg of its own
+    stops Ray Data fusing the pair-generation map into it, which left
+    +122 MB of live processes at the end of a perfbench ``er_distinct``
+    run (Ray at 2 CPUs on a 4-vCPU host)."""
     return pages.map_batches(
         FusedExtractNormalize,
         fn_constructor_kwargs={"extract_from_html": from_html},
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
+        max_restarts=0,
     )
 
 
@@ -109,6 +119,7 @@ def extract_mentions(
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
+        max_restarts=0,
     )
 
 
@@ -123,6 +134,7 @@ def normalize_mentions(
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
+        max_restarts=0,
     )
 
 

@@ -4163,6 +4163,32 @@ FROM cl GROUP BY 1
 )
 
 
+def _part_records(
+    sf_dir: str, with_triple: bool = False
+) -> tuple["ray.data.Dataset", int]:
+    """The meta-blocking queries' records over the part table: (id,
+    bt = name + type + brand), plus the identical-record key ``triple``
+    on request, and the row count from the parquet footer."""
+    import pyarrow.parquet as _pq
+
+    path = f"{sf_dir}/part.parquet"
+
+    def blocking_text(t: pa.Table) -> pa.Table:
+        cols = [t["p_name"], t["p_type"], t["p_brand"]]
+        out = {
+            "id": t["p_partkey"],
+            "bt": pc.binary_join_element_wise(*cols, " "),
+        }
+        if with_triple:
+            out["triple"] = pc.binary_join_element_wise(*cols, "\x1f")
+        return pa.table(out)
+
+    recs = read_parquet_clean(
+        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
+    ).map_batches(blocking_text, batch_format="pyarrow")
+    return recs, _pq.read_metadata(path).num_rows
+
+
 def q_meta_blocking(sf_dir: str):
     """Meta-blocking (token blocking + block purging + CBS pruning,
     Papadakis et al. TKDE 2014) over the part table: records are
@@ -4171,26 +4197,9 @@ def q_meta_blocking(sf_dir: str):
     this — a genuinely information-free block), and candidate pairs
     survive only with >= 3 common blocks. The literature step beyond
     the reference's single-key blocking (normalize.py:168-289)."""
-    import pyarrow.parquet as _pq
-
     from ..functions.metablocking import meta_block_pairs
 
-    path = f"{sf_dir}/part.parquet"
-    n_records = _pq.read_metadata(path).num_rows
-
-    def blocking_text(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": t["p_partkey"],
-                "bt": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], " "
-                ),
-            }
-        )
-
-    recs = read_parquet_clean(
-        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
-    ).map_batches(blocking_text, batch_format="pyarrow")
+    recs, n_records = _part_records(sf_dir)
     return meta_block_pairs(
         recs,
         "id",
@@ -4228,26 +4237,9 @@ def q_meta_blocking_topk(sf_dir: str):
     pair survives if EITHER endpoint retains it — the
     redundancy-positive retention of Papadakis et al. TKDE 2014.
     Same record/blocking regime as meta_blocking."""
-    import pyarrow.parquet as _pq
-
     from ..functions.metablocking import meta_block_topk
 
-    path = f"{sf_dir}/part.parquet"
-    n_records = _pq.read_metadata(path).num_rows
-
-    def blocking_text(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": t["p_partkey"],
-                "bt": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], " "
-                ),
-            }
-        )
-
-    recs = read_parquet_clean(
-        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
-    ).map_batches(blocking_text, batch_format="pyarrow")
+    recs, n_records = _part_records(sf_dir)
     return meta_block_topk(
         recs,
         "id",
@@ -4298,26 +4290,9 @@ def q_meta_blocking_wnp(sf_dir: str):
     of CNP (Papadakis et al. TKDE 2014). Same record/blocking regime
     as meta_blocking; the mean compare is integer-exact
     (w*deg >= sum), so the avg()-based oracle cannot disagree."""
-    import pyarrow.parquet as _pq
-
     from ..functions.metablocking import meta_block_wnp
 
-    path = f"{sf_dir}/part.parquet"
-    n_records = _pq.read_metadata(path).num_rows
-
-    def blocking_text(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": t["p_partkey"],
-                "bt": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], " "
-                ),
-            }
-        )
-
-    recs = read_parquet_clean(
-        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
-    ).map_batches(blocking_text, batch_format="pyarrow")
+    recs, n_records = _part_records(sf_dir)
     return meta_block_wnp(
         recs,
         "id",
@@ -4363,26 +4338,9 @@ def q_meta_blocking_wep(sf_dir: str):
     floor), completing the WEP/WNP/CNP pruning trio. Same
     record/blocking regime as meta_blocking; the compare is
     integer-exact (w * n_pairs >= sum_w)."""
-    import pyarrow.parquet as _pq
-
     from ..functions.metablocking import meta_block_wep
 
-    path = f"{sf_dir}/part.parquet"
-    n_records = _pq.read_metadata(path).num_rows
-
-    def blocking_text(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": t["p_partkey"],
-                "bt": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], " "
-                ),
-            }
-        )
-
-    recs = read_parquet_clean(
-        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
-    ).map_batches(blocking_text, batch_format="pyarrow")
+    recs, n_records = _part_records(sf_dir)
     return meta_block_wep(
         recs, "id", "bt", purge_threshold_x2=n_records
     )
@@ -4400,26 +4358,9 @@ def q_meta_blocking_filtered(sf_dir: str):
     frequencies are near-uniform, so here the query verifies the
     SEMANTICS (oracle-identical filtering), not a speedup — see the
     dense-table caveat in functions/metablocking.py."""
-    import pyarrow.parquet as _pq
-
     from ..functions.metablocking import meta_block_wnp
 
-    path = f"{sf_dir}/part.parquet"
-    n_records = _pq.read_metadata(path).num_rows
-
-    def blocking_text(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": t["p_partkey"],
-                "bt": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], " "
-                ),
-            }
-        )
-
-    recs = read_parquet_clean(
-        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
-    ).map_batches(blocking_text, batch_format="pyarrow")
+    recs, n_records = _part_records(sf_dir)
     return meta_block_wnp(
         recs,
         "id",
@@ -4437,26 +4378,9 @@ def q_meta_blocking_cep(sf_dir: str):
     pruning-scheme quartet (WEP weight-edge, WNP weight-node, CNP
     cardinality-node [meta_blocking_topk], CEP cardinality-edge).
     Distributed sort + limit; deterministic (weight desc, a, b)."""
-    import pyarrow.parquet as _pq
-
     from ..functions.metablocking import meta_block_cep
 
-    path = f"{sf_dir}/part.parquet"
-    n_records = _pq.read_metadata(path).num_rows
-
-    def blocking_text(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": t["p_partkey"],
-                "bt": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], " "
-                ),
-            }
-        )
-
-    recs = read_parquet_clean(
-        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
-    ).map_batches(blocking_text, batch_format="pyarrow")
+    recs, n_records = _part_records(sf_dir)
     return meta_block_cep(
         recs, "id", "bt", purge_threshold_x2=n_records
     )
@@ -4497,26 +4421,9 @@ def q_meta_blocking_weights(sf_dir: str):
     literature ranks by — the scheme family beyond raw co-occurrence
     counts. Cardinalities count kept blocks only (post-purge,
     size >= 2), identical rule both sides."""
-    import pyarrow.parquet as _pq
-
     from ..functions.metablocking import meta_block_weights
 
-    path = f"{sf_dir}/part.parquet"
-    n_records = _pq.read_metadata(path).num_rows
-
-    def blocking_text(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": t["p_partkey"],
-                "bt": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], " "
-                ),
-            }
-        )
-
-    recs = read_parquet_clean(
-        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
-    ).map_batches(blocking_text, batch_format="pyarrow")
+    recs, n_records = _part_records(sf_dir)
     return meta_block_weights(
         recs, "id", "bt", purge_threshold_x2=n_records, min_common=3
     )
@@ -4564,26 +4471,9 @@ def q_tfidf_cosine_pairs(sf_dir: str):
     unweighted set measures (setsim_neardup). Near-stopword tokens
     (df > half the corpus) drop from every vector on both sides,
     doubling as the C(n,2) skew defense."""
-    import pyarrow.parquet as _pq
-
     from ..functions.metablocking import tfidf_cosine_pairs
 
-    path = f"{sf_dir}/part.parquet"
-    n_records = _pq.read_metadata(path).num_rows
-
-    def blocking_text(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": t["p_partkey"],
-                "bt": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], " "
-                ),
-            }
-        )
-
-    recs = read_parquet_clean(
-        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
-    ).map_batches(blocking_text, batch_format="pyarrow")
+    recs, n_records = _part_records(sf_dir)
     return tfidf_cosine_pairs(
         recs, "id", "bt", n_records=n_records, threshold=0.55
     )
@@ -4693,30 +4583,10 @@ def q_meta_blocking_quality(sf_dir: str):
     the candidate/matched counts attach triples to both endpoints via
     two bucket_joins and reduce to driver scalars. Everything integer
     until the final two ratios."""
-    import pyarrow.parquet as _pq
-
     from ..functions.metablocking import meta_block_topk
     from ..stages.join import bucket_join
 
-    path = f"{sf_dir}/part.parquet"
-    n_records = _pq.read_metadata(path).num_rows
-
-    def with_triple(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": t["p_partkey"],
-                "bt": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], " "
-                ),
-                "triple": pc.binary_join_element_wise(
-                    t["p_name"], t["p_type"], t["p_brand"], "\x1f"
-                ),
-            }
-        )
-
-    recs = read_parquet_clean(
-        path, columns=["p_partkey", "p_name", "p_type", "p_brand"]
-    ).map_batches(with_triple, batch_format="pyarrow")
+    recs, n_records = _part_records(sf_dir, with_triple=True)
 
     # gold pairs: sum C(g,2) over identical-triple groups
     def triple_counts(t: pa.Table) -> pa.Table:

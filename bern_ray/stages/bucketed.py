@@ -4,10 +4,12 @@
 block per group out of the shuffle — correct, but at web scale (10^8
 users / documents) it is the canonical tiny-groups scheduler death.
 This module gives the replacement shape that every wide step on the
-linkage and near-dup paths goes through — pair generation and pair
-dedup (stages/blocking.py), contraction CC (stages/cc.py), cluster
-assignment (pipelines/linkage.py) and the dedup family's band /
-posting-list shuffles (functions/dedup.py): shuffle ONCE on
+linkage, near-dup and meta-blocking paths goes through — pair
+generation and pair dedup (stages/blocking.py), contraction CC
+(stages/cc.py), cluster assignment (pipelines/linkage.py), the dedup
+family's band / posting-list shuffles (functions/dedup.py) and the
+meta-blocking token, pair and node passes (functions/metablocking.py,
+summing partials with `segmented_reduce`): shuffle ONCE on
 ``bucket = hash(key) % K`` (K small and fixed, independent of key
 cardinality), then hand the WHOLE bucket to a vectorized kernel that
 lexsorts by (key, order cols) and segments per key with numpy
@@ -101,6 +103,23 @@ def segments(*sorted_key_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.flatnonzero(new)
     sizes = np.diff(np.append(starts, n))
     return starts, sizes
+
+
+def segmented_reduce(
+    keys: np.ndarray, values: np.ndarray, ufunc: np.ufunc = np.add
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce ``values`` per distinct key -> (sorted distinct keys,
+    reductions), e.g. the per-key sum of a bucket's partials.
+
+    Rows are lexsorted by (key, value) first, so a float sum adds its
+    terms in one fixed order whatever order the rows arrived in.
+    """
+    order = np.lexsort((values, keys))
+    keys, values = keys[order], values[order]
+    starts, _ = segments(keys)
+    if not starts.size:
+        return keys, values
+    return keys[starts], ufunc.reduceat(values, starts)
 
 
 def segment_starts_repeat(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -8,10 +8,17 @@ An optional comma-separated second argument restricts the gate to the
 named queries (fast re-check after touching one operator family).
 """
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, for this process and (inherited
+# through PYTHONPATH) the Ray workers it starts
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (ROOT, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def norm_df(df):

@@ -17,9 +17,16 @@ decision agreement with the frozen ensemble is 100% on the training
 pairs (that invariant is what pins clusters identical).
 """
 
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, for this process and (inherited
+# through PYTHONPATH) the Ray workers it starts
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (ROOT, os.environ.get("PYTHONPATH")) if p
+)
 
 import numpy as np
 
@@ -148,7 +155,7 @@ def main():
     out = (
         sys.argv[2]
         if len(sys.argv) > 2
-        else "/root/repo/bern_ray/resources/pair_model.npz"
+        else os.path.join(ROOT, "bern_ray/resources/pair_model.npz")
     )
     if not ray.is_initialized():
         ray.init(

@@ -4,9 +4,13 @@ import sys
 
 import pytest
 
-# the checkout these tests live in, for the driver and the Ray workers
+# the checkout these tests live in, for this process and — through the
+# inherited PYTHONPATH — every Ray worker, whichever test starts Ray
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (ROOT, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")
@@ -20,8 +24,6 @@ def ray_session():
         include_dashboard=False,
         ignore_reinit_error=True,
         logging_level="ERROR",
-        # workers do not inherit this process's sys.path
-        runtime_env={"env_vars": {"PYTHONPATH": ROOT}},
     )
     ctx = ray.data.DataContext.get_current()
     ctx.enable_progress_bars = False

@@ -10,7 +10,12 @@ import pytest
 
 import ray.data
 
-from bern_ray.stages.bucketed import bucketed_apply, key_buckets, segments
+from bern_ray.stages.bucketed import (
+    bucketed_apply,
+    key_buckets,
+    segmented_reduce,
+    segments,
+)
 
 
 def test_segments_single_key():
@@ -31,6 +36,43 @@ def test_segments_multi_key():
 def test_segments_empty():
     starts, sizes = segments(np.empty(0, dtype=np.int64))
     assert len(starts) == 0 and len(sizes) == 0
+
+
+def test_segmented_reduce_empty():
+    keys, vals = segmented_reduce(
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    )
+    assert len(keys) == 0 and len(vals) == 0
+    assert vals.dtype == np.float64
+
+
+def test_segmented_reduce_int_sum():
+    keys, sums = segmented_reduce(
+        np.array([5, 2, 5, 9, 2, 5]), np.array([1, 10, 2, 7, 20, 3])
+    )
+    assert keys.tolist() == [2, 5, 9]
+    assert sums.tolist() == [30, 6, 7]
+
+
+def test_segmented_reduce_maximum():
+    keys, mx = segmented_reduce(
+        np.array([3, 1, 3, 1]), np.array([4, 8, 9, 2]), np.maximum
+    )
+    assert keys.tolist() == [1, 3]
+    assert mx.tolist() == [8, 9]
+
+
+def test_segmented_reduce_float_sum_order_free():
+    """The same multiset of float partials sums to the same bits in
+    any row order (a sum in arrival order would not)."""
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 5, 400)
+    vals = rng.standard_normal(400) * 10.0 ** rng.integers(-8, 8, 400)
+    perm = rng.permutation(400)
+    k1, s1 = segmented_reduce(keys, vals)
+    k2, s2 = segmented_reduce(keys[perm], vals[perm])
+    assert k1.tolist() == k2.tolist()
+    assert s1.tobytes() == s2.tobytes()
 
 
 def test_key_buckets_deterministic_and_bounded():

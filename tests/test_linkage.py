@@ -157,3 +157,46 @@ def test_too_few_cpus_fails_loudly(ray_session):
     with pytest.raises(ValueError, match="at least 5 CPUs.*has 4"):
         linkage_pipeline(SF, concurrency=(4, 4))
     assert time.monotonic() - t0 < 5
+
+
+def test_pool_actor_that_cannot_start_fails_fast(
+    ray_session, tmp_path, monkeypatch
+):
+    """An extraction actor that cannot start (its class lives in a
+    module only the test process can import) must fail the dataset, not be
+    re-created without end. Runs in a thread so a restart loop fails
+    the test after 30 s instead of hanging it."""
+    import threading
+
+    import ray.data
+
+    from bern_ray.pipelines import linkage
+
+    (tmp_path / "local_only_udf.py").write_text(
+        "class Unimportable:\n"
+        "    def __init__(self, **kwargs):\n"
+        "        pass\n"
+        "\n"
+        "    def __call__(self, batch):\n"
+        "        return batch\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    from local_only_udf import Unimportable
+
+    monkeypatch.setattr(linkage, "FusedExtractNormalize", Unimportable)
+    outcome = {}
+
+    def run():
+        try:
+            linkage.extract_normalize_mentions(
+                ray.data.from_items([{"x": 1}]), concurrency=(1, 1)
+            ).materialize()
+            outcome["done"] = "no error"
+        except Exception as e:
+            outcome["done"] = e
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert isinstance(outcome["done"], Exception)

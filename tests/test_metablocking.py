@@ -612,3 +612,55 @@ def test_tfidf_cosine_matches_bruteforce_random(ray_session):
     for k in exp:
         assert abs(got[k] - exp[k]) < 2e-6, k
     assert all(0 < v <= 1 + 1e-9 for v in got.values())
+
+
+def test_float_outputs_independent_of_block_layout(ray_session):
+    """TF-IDF cosines and the JS/ECBS weights are bit-identical whether
+    the records arrive as one block or as 7 blocks of shuffled rows:
+    every float partial is summed in sorted order, not arrival order."""
+    from bern_ray.functions.metablocking import (
+        meta_block_weights,
+        tfidf_cosine_pairs,
+    )
+
+    rng = np.random.default_rng(67)
+    vocab = [f"w{j}" for j in range(40)]
+    records = [
+        (i, " ".join(rng.choice(vocab, size=8, replace=False)))
+        for i in range(150)
+    ]
+    t = pa.table(
+        {
+            "id": pa.array([i for i, _ in records], type=pa.int64()),
+            "bt": pa.array([s for _, s in records], type=pa.string()),
+        }
+    )
+    shuffled = t.take(rng.permutation(t.num_rows))
+    layouts = [
+        ray.data.from_arrow(t).repartition(1),
+        ray.data.from_arrow(shuffled).repartition(7),
+    ]
+
+    def rows(ds):
+        return sorted(ds.to_pandas().itertuples(index=False, name=None))
+
+    cos = [
+        rows(
+            tfidf_cosine_pairs(
+                ds, "id", "bt", n_records=len(records), threshold=0.2
+            )
+        )
+        for ds in layouts
+    ]
+    assert len(cos[0]) > 0
+    assert cos[0] == cos[1]
+    weights = [
+        rows(
+            meta_block_weights(
+                ds, "id", "bt", purge_threshold_x2=len(records)
+            )
+        )
+        for ds in layouts
+    ]
+    assert len(weights[0]) > 0
+    assert weights[0] == weights[1]

@@ -1,7 +1,8 @@
-"""The linkage and near-dup paths shuffle through ONE primitive,
-stages/bucketed.py's ``bucketed_apply``. Parses the modules (no Ray
-session), so a hand-written ``groupby(...).map_groups`` bucket shuffle
-or a second prep-batch constant fails here before anything runs."""
+"""The linkage, near-dup and meta-blocking paths shuffle through ONE
+primitive, stages/bucketed.py's ``bucketed_apply``. Parses the modules
+(no Ray session), so a hand-written ``groupby(...).map_groups`` bucket
+shuffle or a second prep-batch constant fails here before anything
+runs."""
 
 import ast
 import pathlib
@@ -15,6 +16,7 @@ MODULES = [
     "stages/cc.py",
     "pipelines/linkage.py",
     "functions/dedup.py",
+    "functions/metablocking.py",
 ]
 
 # the per-cell IVF verify is keyed by a cluster-cell id, not a hash
