@@ -234,8 +234,10 @@ def _er_stage_metrics(sf_dir: str):
     import tempfile
 
     from bern_ray.pipelines.linkage import linkage_pipeline
+    from bern_ray.state import counters
     from bern_ray.state.metrics import stage_metrics
 
+    counters.reset()
     tag = hashlib.sha256(sf_dir.encode()).hexdigest()[:8]
     root = f"{tempfile.gettempdir()}/bern_ray_metrics_{tag}"
     shutil.rmtree(root, ignore_errors=True)

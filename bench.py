@@ -105,14 +105,10 @@ def run_bench() -> dict:
     scaling_leg = os.environ.get("GRAFT_SCALING_LEG") == "1"
 
     # --- headline: end-to-end linkage -------------------------------
-    # one fused extract+normalize pool (compute-heavy) with headroom
-    # left for read/shuffle tasks at every CPU count
-    heavy = (1, max(1, NUM_CPUS * 3 // 4))
-
     def headline_once() -> dict:
         t0 = time.monotonic()
         normalized = extract_normalize_mentions(
-            read_pages(SF_DIR, replicate=REPLICATE), concurrency=heavy
+            read_pages(SF_DIR, replicate=REPLICATE)
         ).materialize()
         n_mentions = normalized.count()
         t_extract = time.monotonic() - t0
@@ -129,7 +125,6 @@ def run_bench() -> dict:
                 normalized, dedup=False, with_attrs=True, vocab=vocab
             ),
             None,
-            concurrency=heavy,
             vocab=vocab,
             emit="edges",
         ).materialize()

@@ -1,14 +1,20 @@
 """Flagship end-to-end entity-resolution pipeline (north_star).
 
 pages (url, warc_ts, html, text, lang)
-  -> extract   : actor-pool map_batches -> mentions (flat table)
-  -> normalize : actor-pool map_batches, broadcast dict fallback chain
+  -> extract   : task map_batches fused with the pages read -> mentions
+  -> normalize : same task map, dict fallback chain
   -> block     : explode keys -> groupby(block_key) -> candidate pairs
                  (the ONE wide shuffle; salted + capped, SURVEY.md §7.4)
-  -> score     : actor-pool map_batches, vectorized JW/Lev/cosine
-                 ensemble -> edges above threshold
+  -> score     : task map_batches, vectorized JW/Lev/cosine ensemble
+                 (or a trained pair model) -> edges above threshold
   -> cluster   : connected components (union-find stream / distributed
                  label propagation) -> cluster_id per mention
+
+The stateful stages (extractor, normalizer, scorer, pair model) are
+built once per worker process by `_process_instance` and reused by
+every task that process runs; no stage starts an actor pool, which
+would add its start-up (~1.7 s per execution) and block fusion with
+the read.
 
 Output schema (expected_clusters shape, FIXTURES.md §4):
   url, mention_id, etype, start, end, surface, oid, ids(list<string>),
@@ -23,6 +29,7 @@ stages/cc.py with the distributed alternative).
 from __future__ import annotations
 
 import os
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -38,7 +45,7 @@ from ..stages.blocking import (
     build_attr_vocab,
     candidate_pairs,
 )
-from ..stages.bucketed import bucketed_apply
+from ..stages.bucketed import bucketed_apply, segments
 from ..stages.extract import MentionExtractor
 from ..stages.normalize import MentionNormalizer
 from ..stages.partitions import session_cpus
@@ -54,15 +61,35 @@ LINKAGE_SOURCES = tuple(
 )
 
 
-class FusedExtractNormalize:
-    """One actor = extraction + normalization (fused).
+# this process's stage instances: class -> (key, instance)
+_INSTANCES: dict = {}
 
-    Fusing the two stateful stages into one pool removes an
-    object-store hop and, critically, halves the number of actor pools
-    so low-CPU configurations keep a free slot for read tasks (two
-    pools' minimum actors can otherwise reserve every CPU and starve
-    the pipeline).
-    """
+
+def _process_instance(cls, key, **kwargs):
+    """This worker process's instance of ``cls`` for ``key``, built on
+    first use. A new key replaces the old instance, so a process holds
+    at most one per class, not one per pass."""
+    held = _INSTANCES.get(cls)
+    if held is None or held[0] != key:
+        _INSTANCES.pop(cls, None)
+        held = _INSTANCES[cls] = (key, cls(**kwargs))
+    return held[1]
+
+
+def _task_map(ds, cls, key, kwargs, batch_size):
+    """``map_batches`` as a plain task map over ``cls`` built once per
+    worker process. No ``concurrency``: a sized task pool stops Ray
+    Data fusing the map with its upstream task map."""
+
+    def run(batch: pa.Table) -> pa.Table:
+        return _process_instance(cls, key, **kwargs)(batch)
+
+    return ds.map_batches(run, batch_format="pyarrow", batch_size=batch_size)
+
+
+class FusedExtractNormalize:
+    """Extraction + normalization in one stage object (fused): one
+    map, no object-store hop between the two."""
 
     def __init__(self, tables_ref=None, extract_from_html: bool = False):
         self.extract = MentionExtractor(extract_from_html=extract_from_html)
@@ -78,64 +105,48 @@ def extract_normalize_mentions(
     batch_size: int | None = None,
     from_html: bool = False,
 ) -> "ray.data.Dataset":
-    """The lookup tables build in each actor's __init__ (70 ms
-    measured) rather than via a ray.put broadcast: constructor args
-    holding object refs break actor RESTART if the ref is lost (ray
-    issue #53727), and per-actor build is cheaper than that risk for
-    dictionaries this small. A deployment with multi-GB dictionaries
-    passes tables_ref explicitly and owns the ref's lifetime.
+    """A task map fused with the pages read; each worker process builds
+    the extractor and the lookup tables once (70 ms measured) and
+    reuses them. ``concurrency`` is unused; it stays in the signature
+    because callers (perfbench/layers.py among them) pass it.
 
-    The extraction and normalization pools never restart an actor
-    (``max_restarts=0``; Ray Data's default of -1 re-creates an actor
-    that cannot start without end): a dead actor fails the dataset, and
-    a long run resumes from its stage checkpoints (``--checkpoint``)
-    instead. The scorer pool keeps the default: a remote arg of its own
-    stops Ray Data fusing the pair-generation map into it, which left
-    +122 MB of live processes at the end of a perfbench ``er_distinct``
-    run (Ray at 2 CPUs on a 4-vCPU host)."""
-    return pages.map_batches(
+    A stage that cannot be built fails the dataset at once (the class
+    rides into the task as an object, so a worker that cannot import
+    it fails the task). A long run resumes from its stage checkpoints
+    (``--checkpoint``) instead of retrying."""
+    return _task_map(
+        pages,
         FusedExtractNormalize,
-        fn_constructor_kwargs={"extract_from_html": from_html},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        max_restarts=0,
+        from_html,
+        {"extract_from_html": from_html},
+        batch_size,
     )
 
 
 def extract_mentions(
     pages: "ray.data.Dataset",
-    concurrency: int | tuple = (1, 16),
     batch_size: int | None = None,
     from_html: bool = False,
 ) -> "ray.data.Dataset":
-    """batch_size=None processes one upstream block per actor call —
-    no batch coalescing, so task count == block count and the pool can
+    """batch_size=None processes one upstream block per call — no
+    batch coalescing, so task count == block count and the stage can
     scale out (a numeric batch_size larger than the block size bundles
     many blocks into few tasks and serializes the stage)."""
-    return pages.map_batches(
+    return _task_map(
+        pages,
         MentionExtractor,
-        fn_constructor_kwargs={"extract_from_html": from_html},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        max_restarts=0,
+        from_html,
+        {"extract_from_html": from_html},
+        batch_size,
     )
 
 
 def normalize_mentions(
     mentions: "ray.data.Dataset",
-    concurrency: int | tuple = (1, 16),
     batch_size: int | None = None,
 ) -> "ray.data.Dataset":
-    # per-actor table build, same rationale as extract_normalize_mentions
-    return mentions.map_batches(
-        MentionNormalizer,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        max_restarts=0,
-    )
+    # per-process table build, same rationale as extract_normalize_mentions
+    return _task_map(mentions, MentionNormalizer, None, {}, batch_size)
 
 
 def _key_to_block_key(t: pa.Table) -> pa.Table:
@@ -162,95 +173,79 @@ def score_pairs(
     concurrency: int | tuple = (1, 16),
     batch_size: int | None = None,
     dedup_in_attach: bool = False,
-    model_loader=None,
-    num_gpus: float = 0,
     vocab=None,
     emit: str = "decoded",
     pair_model_loader=None,
 ) -> "ray.data.Dataset":
-    """Run the scorer actor pool over attributed pairs.
+    """Run the pair scorer over attributed pairs.
 
     With ``normalized`` given and int-only pairs, attributes are
     attached first via the distributed bucketed join. With
     ``normalized=None`` the pairs must already carry attrs
     (candidate_pairs(with_attrs=True) — the single-sort hot path);
     pass the same ``vocab`` used by candidate_pairs when the attrs
-    ride as int32 codes, and the scorer decodes them per-actor.
+    ride as int32 codes, and the scorer decodes them against the
+    vocab it fetched once per worker process.
 
-    ``model_loader`` / ``num_gpus`` form the GPU seam: the loader
-    runs once per actor in ``__init__`` (see stages/scoring.py) and
-    ``num_gpus`` reserves accelerator slots per scorer actor.
     ``pair_model_loader`` loads a TRAINED pair model (e.g.
-    scoring.load_pair_model(npz_path)) once per actor — it replaces
-    the frozen ensemble with batched model inference."""
+    scoring.load_pair_model(npz_path)) that replaces the frozen
+    ensemble with batched model inference. The scorer, and with it
+    the model, is built once per worker process and call of this
+    function. ``concurrency`` is unused; it stays in the signature
+    because callers (perfbench/layers.py among them) pass it."""
     if normalized is None and vocab is None:
         pairs = pairs.map_batches(_key_to_block_key, batch_format="pyarrow")
     elif normalized is not None and "a_surface" not in pairs.schema().names:
         pairs = attach_pair_attrs(pairs, normalized, dedup=dedup_in_attach)
-    ctor = {}
-    if model_loader is not None:
-        ctor["model_loader"] = model_loader
-    if pair_model_loader is not None:
-        ctor["pair_model_loader"] = pair_model_loader
-    if vocab is not None:
-        ctor["vocab"] = vocab
-    if emit != "decoded":
-        # lean edge-only output (stages/scoring.py): skips the
-        # measured-92% per-row decode for consumers that feed CC
-        ctor["emit"] = emit
-    kwargs = {}
-    if ctor:
-        kwargs["fn_constructor_kwargs"] = ctor
-    if num_gpus:
-        kwargs["num_gpus"] = num_gpus
-    return pairs.map_batches(
+    # emit="edges": lean edge-only output (stages/scoring.py), skips
+    # the measured-92% per-row decode for consumers that feed CC.
+    # Each task unpickles a fresh vocab and loader, so the instance key
+    # is a token drawn here, once per call.
+    return _task_map(
+        pairs,
         PairScorer,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        **kwargs,
+        uuid.uuid4().hex,
+        {"vocab": vocab, "emit": emit, "pair_model_loader": pair_model_loader},
+        batch_size,
     )
+
+
+def _min_per_root(t: pa.Table, col: str) -> pa.ChunkedArray:
+    """Per row: the least non-null ``col`` among the rows sharing its
+    root (null when all are null). One sort by (root, col) with nulls
+    last, the first value of each root segment, scattered back to row
+    order. Arrow orders strings by UTF-8 bytes, which is code-point
+    order."""
+    order = pc.sort_indices(
+        t,
+        sort_keys=[("root", "ascending"), (col, "ascending")],
+        null_placement="at_end",
+    ).to_numpy()
+    starts, sizes = segments(t["root"].to_numpy()[order])
+    seg = np.empty(len(order), dtype=np.int64)
+    seg[order] = np.repeat(np.arange(len(starts)), sizes)
+    return t[col].take(order[starts]).take(seg)
 
 
 def _assign_clusters_bucket(t: pa.Table) -> pa.Table:
     """Vectorized cluster-id assignment for ALL components hashed into
     one bucket (components are numerous and tiny — one Python call per
-    component would dominate; this is one pandas groupby-transform).
+    component would dominate; this is one sort per min column).
 
     cluster_id = min resolved oid in the component, else the shared
     fold key (CUI-less cluster) — deterministic, order-insensitive.
-    Returns an explicit Arrow table (list<string> ids) so the output
-    block is parquet-writable regardless of pandas object dtypes.
+    Rows keep their order; the mention columns pass through as
+    ``bucket_join`` typed them (``_MENTION_SCHEMA``).
     """
-    g = t.to_pandas()
-    grp = g.groupby("root", sort=False)
-    min_oid = grp["oid"].transform("min")  # NaN-safe: skips missing
-    min_fold = grp["fold_key"].transform("min")
-    cid = np.where(
-        min_oid.notna(), "BERN:" + min_oid.fillna(""), "SURF:" + min_fold
+    min_oid = _min_per_root(t, "oid")
+    cid = pc.if_else(
+        pc.is_valid(min_oid),
+        pc.binary_join_element_wise("BERN:", min_oid, ""),
+        pc.binary_join_element_wise(
+            "SURF:", _min_per_root(t, "fold_key"), ""
+        ),
     )
-    n = len(g)
-    return pa.table(
-        {
-            "url": pa.array(g["url"].tolist(), type=pa.string()),
-            "mention_id": pa.array(
-                g["mention_id"].tolist(), type=pa.int64()
-            ),
-            "etype": pa.array(g["etype"].tolist(), type=pa.string()),
-            "start": pa.array(g["start"].tolist(), type=pa.int64()),
-            "end": pa.array(g["end"].tolist(), type=pa.int64()),
-            "surface": pa.array(g["surface"].tolist(), type=pa.string()),
-            "oid": pa.array(
-                [x if isinstance(x, str) else None for x in g["oid"]],
-                type=pa.string(),
-            ),
-            "ids": pa.array(
-                [list(x) for x in g["ids"]], type=pa.list_(pa.string())
-            ),
-            "fold_key": pa.array(g["fold_key"].tolist(), type=pa.string()),
-            "cluster_id": pa.array(cid.tolist(), type=pa.string()),
-        }
-    )
+    return t.select(list(_MENTION_SCHEMA)).append_column("cluster_id", cid)
 
 
 _MENTION_SCHEMA = {
@@ -332,6 +327,7 @@ def incremental_linkage(
     expensive stages — run on new data only. The checkpointed path
     carries string attrs (codes would go stale as the vocab grows
     across increments); the in-memory path dictionary-encodes.
+    ``concurrency`` is unused; callers still pass it.
     """
     from ..stages.blocking import explode_block_keys, pairs_from_exploded
 
@@ -344,9 +340,7 @@ def incremental_linkage(
 
         return fn
 
-    new_norm = extract_normalize_mentions(
-        new_pages, concurrency=concurrency
-    )
+    new_norm = extract_normalize_mentions(new_pages)
     prior_tagged = prior_normalized.map_batches(
         flag(False), batch_format="pyarrow"
     )
@@ -375,7 +369,7 @@ def incremental_linkage(
             salt_threshold=salt_threshold,
             dedup=False,
         )
-        new_scored = score_pairs(pairs, None, concurrency=concurrency)
+        new_scored = score_pairs(pairs, None)
     else:
         vocab = build_attr_vocab(tagged)
         pairs = candidate_pairs(
@@ -385,9 +379,7 @@ def incremental_linkage(
             with_attrs=True,
             vocab=vocab,
         )
-        new_scored = score_pairs(
-            pairs, None, concurrency=concurrency, vocab=vocab
-        )
+        new_scored = score_pairs(pairs, None, vocab=vocab)
     edges = prior_scored.map_batches(
         edges_only, batch_format="pyarrow"
     ).union(new_scored.map_batches(edges_only, batch_format="pyarrow"))
@@ -395,14 +387,17 @@ def incremental_linkage(
 
 
 def check_pool_fits(concurrency: int | tuple, cpus: int) -> None:
-    """An actor pool whose minimum holds every CPU leaves no slot for
-    the read and shuffle tasks that feed it, and the pipeline stalls
-    without an error. Refuse such a session up front."""
+    """Refuse a session with fewer CPUs than the minimum parallelism
+    ``concurrency`` asks for plus one slot for reads. No linkage stage
+    starts an actor pool, so this only keeps a caller's stated minimum
+    honest (an actor pool holding every CPU stalled the pass without
+    an error)."""
     pool_min = concurrency if isinstance(concurrency, int) else concurrency[0]
     if cpus < pool_min + 1:
         raise ValueError(
-            f"linkage needs at least {pool_min + 1} CPUs (actor pool "
-            f"minimum {pool_min} + 1 for reads), the Ray session has {cpus}"
+            f"linkage needs at least {pool_min + 1} CPUs (minimum "
+            f"parallelism {pool_min} + 1 for reads), the Ray session "
+            f"has {cpus}"
         )
 
 
@@ -420,15 +415,20 @@ def linkage_pipeline(
 
     ``pair_model_path`` swaps the frozen scoring ensemble for a
     TRAINED logistic pair model loaded from an .npz checkpoint once
-    per scorer actor (stages/scoring.py LogisticPairModel) — the
+    per worker process (stages/scoring.py LogisticPairModel) — the
     evidenced model seam; clusters are pytest-pinned identical to the
     ensemble's on the fixture corpus.
 
     ``scored_emit="edges"`` makes the scorer emit only
     (a_mid, b_mid, score, is_edge) — the clustering path needs nothing
     else, and the decoded-string output costs a measured 11x per batch
-    (stages/scoring.py). Keep the default "decoded" when the
-    scored_pairs checkpoint is itself a consumed artifact.
+    (stages/scoring.py). It applies to checkpointed runs, where the
+    scored_pairs checkpoint may itself be a consumed artifact (keep the
+    default "decoded" then); without a checkpoint_root nothing but the
+    edge filter reads the scored pairs, so they are always edges-only.
+
+    Every stage is a task map; ``concurrency`` sizes none of them and
+    is read only by ``check_pool_fits``.
 
     `normalized` and `scored_pairs` are each consumed by MULTIPLE
     downstream stages (hot-key count + pair-gen + cluster attach;
@@ -440,6 +440,8 @@ def linkage_pipeline(
     consumer.
     """
     check_pool_fits(concurrency, session_cpus())
+    if checkpoint_root is None:
+        scored_emit = "edges"
     pair_model_loader = None
     if pair_model_path is not None:
         from ..stages.scoring import load_pair_model
@@ -461,7 +463,7 @@ def linkage_pipeline(
     normalized = checkpointed(
         "normalized",
         lambda: extract_normalize_mentions(
-            read_pages(sf_dir), concurrency=concurrency, from_html=from_html
+            read_pages(sf_dir), from_html=from_html
         ),
         checkpoint_root,
         lineage=["pages"],
@@ -488,7 +490,6 @@ def linkage_pipeline(
                     vocab=vocab,
                 ),
                 None,
-                concurrency=concurrency,
                 vocab=vocab,
                 emit=scored_emit,
                 pair_model_loader=pair_model_loader,
@@ -501,7 +502,6 @@ def linkage_pipeline(
                 with_attrs=False,
             ),
             normalized,
-            concurrency=concurrency,
             dedup_in_attach=True,
             emit=scored_emit,
             pair_model_loader=pair_model_loader,

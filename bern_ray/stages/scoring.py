@@ -2,8 +2,8 @@
 
 Ray-native analog of the reference's span scoring + cross-type duel
 (biobert_ner/ops.py:214-476) and of the north_star's "batched
-Jaro-Winkler/Levenshtein plus embedding-cosine ensemble". Runs as an
-actor pool over Arrow batches of pairs; every kernel is vectorized
+Jaro-Winkler/Levenshtein plus embedding-cosine ensemble". Runs as a
+task map over Arrow batches of pairs; every kernel is vectorized
 over the whole batch (core/similarity.py) — the per-batch cost is a
 few numpy passes, GPU-replaceable by swapping the cosine component.
 
@@ -48,7 +48,8 @@ class LogisticPairModel:
     an .npz checkpoint file — the evidenced form of the reference's
     load-model-once-per-process seam (run_ner.py:361-589 loads TF
     estimators once and serves batches; here the weight file loads
-    once per ACTOR via PairScorer(pair_model_loader=...)).
+    once per scorer instance via PairScorer(pair_model_loader=...),
+    and score_pairs builds one scorer per worker process).
 
     Trained offline by scripts/train_pair_model.py to reproduce the
     frozen ensemble's edge decisions on the fixture corpus (decision
@@ -93,15 +94,15 @@ def default_pair_model_path() -> str:
 
 
 class PairScorer:
-    """Actor-pool callable: pair batch -> pair batch + score column.
+    """Stage callable: pair batch -> pair batch + score column.
 
-    The embedding component is a per-actor MODEL loaded once in
+    The embedding component is a per-instance MODEL loaded once in
     ``__init__`` — the GPU seam of the north_star: a real deployment
     passes ``model_loader`` (a picklable zero-arg callable returning
     ``surfaces -> (n, d) float array``, e.g. loading a transformer
-    onto the GPU; run the pool with ``num_gpus`` via
-    ``score_pairs(..., num_gpus=1)``) and the batched-inference
-    plumbing is identical. The default model is the deterministic
+    onto the GPU; run it as ``map_batches(PairScorer,
+    fn_constructor_kwargs=..., concurrency=n, num_gpus=1)``) and the
+    batched-inference plumbing is identical. The default model is the deterministic
     hashed-n-gram embedder (reference analog: run_ner.py:361-589
     loads the TF estimator once per process and serves batches).
     """
@@ -117,7 +118,7 @@ class PairScorer:
         if emit not in ("decoded", "edges"):
             raise ValueError(f"emit={emit!r}: 'decoded' or 'edges'")
         # trained pair model (e.g. LogisticPairModel): loaded ONCE per
-        # actor; scores PAIR_FEATURES instead of the fixed ensemble
+        # instance; scores PAIR_FEATURES instead of the fixed ensemble
         self.pair_model = (
             pair_model_loader() if pair_model_loader is not None else None
         )
@@ -137,13 +138,13 @@ class PairScorer:
         # mode is the default for any consumer that only needs edges.
         self.emit = emit
         self.threshold = threshold
-        # once per actor, NOT per batch
+        # once per instance, NOT per batch
         self.embed = (
             ngram_hash_vectors if model_loader is None else model_loader()
         )
         # de-stringified hot path: pairs arrive as int32 codes
         # (a_sc/b_sc/a_oc/b_oc) and the vocab arrays are fetched from
-        # the broadcast store ONCE per actor — never per batch
+        # the broadcast store ONCE per instance — never per batch
         if vocab is not None:
             self.vocab_s, self.vocab_o = vocab.arrays()
         else:

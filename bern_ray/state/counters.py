@@ -15,6 +15,16 @@ ObjectRef does not cancel an actor task), so the only consistency
 gap is IN-FLIGHT messages at read time — `snapshot()` closes it by
 settling: it re-reads until two consecutive reads agree.
 
+Only the driver creates the actor, in `reset()` or `snapshot()`: its
+lifetime is then the driver's, not that of whichever worker happened
+to report first (a pool actor that exits takes the counts with it; a
+long-lived task worker keeps a 122 MB actor alive after the pass).
+Counts are kept only once the driver has opened the counter: in a
+worker, `add` / `add_many` look the actor up by name, cache the handle
+once found, and drop the count while none is open (one ~0.6 ms lookup
+per task); in the driver, a report before the counter is opened is
+dropped without a lookup.
+
 Rollup surface: `snapshot()` feeds `state.metrics.stage_metrics`,
 which appends one `cap:<name>` row per counter — so the flagship's
 `er_stage_metrics` query exposes the elision counts next to the
@@ -36,9 +46,6 @@ class _CounterActor:
     def __init__(self) -> None:
         self._c: dict[str, int] = {}
 
-    def add(self, name: str, n: int = 1) -> None:
-        self._c[name] = self._c.get(name, 0) + int(n)
-
     def add_many(self, counts: dict) -> None:
         for name, n in counts.items():
             self._c[name] = self._c.get(name, 0) + int(n)
@@ -51,17 +58,32 @@ class _CounterActor:
 
 
 _HANDLE = None
+# the task whose lookup last missed: a task looks up at most once
+# (one near-dup bucket task reports ~124 times)
+_MISSED_IN = None
 # bounded ref retention: keeps recent submissions alive long enough
 # for error surfacing without growing per-process memory
 _PENDING: deque = deque(maxlen=64)
 
 
-def _actor():
-    global _HANDLE
-    if _HANDLE is None:
-        _HANDLE = _CounterActor.options(
-            name=_ACTOR_NAME, get_if_exists=True
-        ).remote()
+def _open():
+    """The counter actor the driver opened, or None when none is open
+    (never created here: a worker that created it would own it). The
+    driver opens the counter before it starts the tasks whose counts
+    it reads, so a miss holds for the rest of the task. The driver
+    holds the handle once it has opened the counter, so a driver-side
+    report before that is dropped without a lookup."""
+    global _HANDLE, _MISSED_IN
+    if _HANDLE is None and ray.is_initialized():
+        ctx = ray.get_runtime_context()
+        if ctx.worker.mode != ray.WORKER_MODE:
+            return None
+        task = ctx.get_task_id()
+        if task != _MISSED_IN:
+            try:
+                _HANDLE = ray.get_actor(_ACTOR_NAME)
+            except ValueError:  # no counter open: the count is dropped
+                _MISSED_IN = task
     return _HANDLE
 
 
@@ -69,8 +91,7 @@ def add(name: str, n: int) -> None:
     """Increment from a worker kernel — non-blocking (zero stall on
     the data task; the capped path used to pay a full actor RPC
     round-trip per call)."""
-    if n:
-        _PENDING.append(_actor().add.remote(name, int(n)))
+    add_many({name: n})
 
 
 def add_many(counts: dict) -> None:
@@ -78,7 +99,9 @@ def add_many(counts: dict) -> None:
     that capped usually reports 2-3 related counts)."""
     counts = {k: int(v) for k, v in counts.items() if v}
     if counts:
-        _PENDING.append(_actor().add_many.remote(counts))
+        a = _open()
+        if a is not None:
+            _PENDING.append(a.add_many.remote(counts))
 
 
 def snapshot(settle_sec: float = 0.1, max_wait_sec: float = 2.0) -> dict:
@@ -86,8 +109,12 @@ def snapshot(settle_sec: float = 0.1, max_wait_sec: float = 2.0) -> dict:
     adds are async, so re-read until two consecutive snapshots agree
     (bounded by `max_wait_sec`). Callers read AFTER their dataset
     action returned, so every add was already submitted from a live
-    worker — settling only waits out delivery, not generation."""
-    a = _actor()
+    worker — settling only waits out delivery, not generation.
+    With no counter open this opens one and reads ``{}``: counts are
+    kept from the first read on."""
+    if not ray.is_initialized():
+        return {}
+    a = _driver_handle()
     prev = ray.get(a.snapshot.remote())
     deadline = time.monotonic() + max_wait_sec
     while time.monotonic() < deadline:
@@ -99,5 +126,18 @@ def snapshot(settle_sec: float = 0.1, max_wait_sec: float = 2.0) -> dict:
     return prev
 
 
+def _driver_handle():
+    """Open the counter (driver only). The driver keeps the creating
+    handle for its lifetime: a handle from ``ray.get_actor`` does not
+    keep the actor alive."""
+    global _HANDLE
+    if _HANDLE is None:
+        _HANDLE = _CounterActor.options(
+            name=_ACTOR_NAME, get_if_exists=True
+        ).remote()
+    return _HANDLE
+
+
 def reset() -> None:
-    ray.get(_actor().reset.remote())
+    """Open the counter from the driver and zero it."""
+    ray.get(_driver_handle().reset.remote())

@@ -18,8 +18,10 @@ manifest (state/checkpoint.py); re-submitting the identical job after
 a failure resumes from the last complete stage. Output is partitioned
 Parquet (clusters + PubAnnotation-style denotations), never one giant
 file. A metrics JSON line goes to stdout and ``<output>/_METRICS.json``;
-it includes the planned pages source block count (``source_blocks``)
-and the session's CPUs (``ray_cpus``) the plan was made for.
+it includes the planned pages source block count (``source_blocks``),
+the session's CPUs (``ray_cpus``) the plan was made for, and the
+cap/skew counters of the run (``caps``: hot keys salted, capped
+segments, elided pairs; state/counters.py).
 """
 
 from __future__ import annotations
@@ -45,16 +47,20 @@ def main() -> None:
     ap.add_argument("--partition-by", default="etype",
                     help="hive-partition column for the clusters sink")
     ap.add_argument("--max-actors", type=int, default=16,
-                    help="cap for each stage's autoscaling actor pool")
+                    help="kept for existing job specs; no effect (every "
+                         "linkage stage is a task map, none starts an "
+                         "actor pool)")
     ap.add_argument("--lean-scored", action="store_true",
-                    help="scorer emits edges only (a_mid, b_mid, score, "
-                         "is_edge) — skips the measured-92%% per-row attr "
-                         "decode; use when the scored_pairs checkpoint is "
-                         "not itself a consumed artifact")
+                    help="with --checkpoint: the scored_pairs checkpoint "
+                         "holds edges only (a_mid, b_mid, score, is_edge) "
+                         "— skips the measured-92%% per-row attr decode; "
+                         "use when it is not itself a consumed artifact "
+                         "(without --checkpoint scoring is always "
+                         "edges-only)")
     ap.add_argument("--pair-model", default=None, metavar="NPZ",
                     help="path to a trained logistic pair-model "
                          "checkpoint (scripts/train_pair_model.py); "
-                         "loads once per scorer actor and replaces the "
+                         "loads once per worker process and replaces the "
                          "frozen ensemble")
     args = ap.parse_args()
 
@@ -73,7 +79,9 @@ def main() -> None:
     from bern_ray.sources.output import write_outputs
     from bern_ray.sources.pages import pages_source_blocks
     from bern_ray.stages.partitions import session_cpus
+    from bern_ray.state import counters
 
+    counters.reset()
     t0 = time.monotonic()
     clusters = linkage_pipeline(
         args.input,
@@ -99,6 +107,7 @@ def main() -> None:
         "checkpoint": args.checkpoint,
         "source_blocks": pages_source_blocks(args.input),
         "ray_cpus": session_cpus(),
+        "caps": counters.snapshot(),
     }
     os.makedirs(args.output, exist_ok=True)
     with open(f"{args.output}/_METRICS.json", "w") as f:

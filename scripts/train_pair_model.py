@@ -7,7 +7,7 @@ features (PAIR_FEATURES: jw, lev, cos, same_oid, fold_eq), trained to
 reproduce the frozen ensemble's edge decisions on the fixture corpus,
 then serialized to bern_ray/resources/pair_model.npz. PairScorer
 (pair_model_loader=load_pair_model(path)) loads the weight file ONCE
-PER ACTOR and serves batched inference — the end-to-end evidence for
+PER WORKER PROCESS and serves batched inference — the end-to-end evidence for
 the model seam (VERDICT r3 "Next round" #4).
 
 Usage:  python scripts/train_pair_model.py [sf_dir] [out_npz]

@@ -82,3 +82,68 @@ def test_blocking_cap_and_salt_counters(ray_session):
     assert snap.get("blocking_hot_keys_salted", 0) >= 1
     assert snap.get("blocking_segments_capped", 0) >= 1
     assert snap.get("blocking_pairs_elided", 0) > 0
+
+
+def test_report_without_an_open_counter_is_dropped(monkeypatch):
+    """A worker reporting while no counter is open must neither create
+    the actor (it would own it and outlive or cut short the counts) nor
+    raise: the count is dropped, after one lookup per task."""
+    import ray
+
+    from bern_ray.state import counters
+
+    lookups = []
+
+    def no_actor(name, namespace=None):
+        lookups.append(name)
+        raise ValueError(f"Failed to look up actor with name '{name}'")
+
+    class NoCreate:
+        @staticmethod
+        def options(**kwargs):
+            pytest.fail("a report created the counter actor")
+
+    class InTask:
+        class worker:
+            mode = ray.WORKER_MODE
+
+        @staticmethod
+        def get_task_id():
+            return "task-1"
+
+    monkeypatch.setattr(ray, "get_actor", no_actor)
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "get_runtime_context", lambda: InTask)
+    monkeypatch.setattr(counters, "_CounterActor", NoCreate)
+    monkeypatch.setattr(counters, "_HANDLE", None)
+    monkeypatch.setattr(counters, "_MISSED_IN", None)
+    counters.add_many({"x": 1})
+    counters.add("x", 1)
+    assert len(lookups) == 1
+
+
+def test_driver_report_before_reset_is_dropped_without_lookup(monkeypatch):
+    """The driver opens the counter with reset(); a driver-side report
+    before that (hot-key salting, canopy blocking) is dropped without
+    asking for a task id or looking the actor up."""
+    import ray
+
+    from bern_ray.state import counters
+
+    def no_lookup(*args, **kwargs):
+        pytest.fail("a driver-side report looked the actor up")
+
+    class InDriver:
+        class worker:
+            mode = ray.SCRIPT_MODE
+
+        get_task_id = staticmethod(no_lookup)
+
+    monkeypatch.setattr(ray, "get_actor", no_lookup)
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "get_runtime_context", lambda: InDriver)
+    monkeypatch.setattr(counters, "_HANDLE", None)
+    pending = len(counters._PENDING)
+    counters.add_many({"x": 1})
+    counters.add("x", 1)
+    assert len(counters._PENDING) == pending

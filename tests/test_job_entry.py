@@ -40,3 +40,33 @@ def test_job_entrypoint_smoke(tmp_path):
     cluster_parts = list((out / "clusters").glob("etype=*"))
     assert cluster_parts, "expected hive-partitioned clusters output"
     assert json.load(open(out / "_METRICS.json")) == metrics
+
+
+def test_job_entrypoint_reports_caps(tmp_path):
+    """A salt threshold below the corpus' hot block sizes must show up
+    in the run's cap counters, in the stdout line and _METRICS.json."""
+    out = tmp_path / "out"
+    env = dict(os.environ, RAY_ADDRESS="local")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(REPO, "scripts", "run_linkage.py"),
+            "--input",
+            SF,
+            "--output",
+            str(out),
+            "--salt-threshold",
+            "20",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=env,
+        cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    metrics = json.loads(
+        [l for l in proc.stdout.splitlines() if l.startswith("{")][-1]
+    )
+    assert metrics["caps"]["blocking_hot_keys_salted"] >= 1
+    assert json.load(open(out / "_METRICS.json")) == metrics

@@ -200,3 +200,155 @@ def test_pool_actor_that_cannot_start_fails_fast(
     worker.join(timeout=30)
     assert not worker.is_alive()
     assert isinstance(outcome["done"], Exception)
+
+
+def test_model_scorer_that_cannot_start_fails_fast(
+    ray_session, tmp_path, monkeypatch
+):
+    """A scorer with a pair model that cannot be built in the worker
+    must fail the dataset at once, not be retried without end (same
+    pattern as the extraction test above)."""
+    import threading
+
+    import ray.data
+
+    from bern_ray.pipelines import linkage
+
+    (tmp_path / "local_only_scorer.py").write_text(
+        "class Unimportable:\n"
+        "    def __init__(self, **kwargs):\n"
+        "        pass\n"
+        "\n"
+        "    def __call__(self, batch):\n"
+        "        return batch\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    from local_only_scorer import Unimportable
+
+    monkeypatch.setattr(linkage, "PairScorer", Unimportable)
+    outcome = {}
+
+    def run():
+        try:
+            linkage.score_pairs(
+                ray.data.from_items([{"a_sc": 0, "b_sc": 1}]),
+                None,
+                concurrency=(1, 1),
+                vocab=object(),
+                pair_model_loader=lambda: None,
+            ).materialize()
+            outcome["done"] = "no error"
+        except Exception as e:
+            outcome["done"] = e
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert isinstance(outcome["done"], Exception)
+
+
+class _RecordingDataset:
+    """Stands in for a Dataset: records each map_batches call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def map_batches(self, fn, **kwargs):
+        self.calls.append((fn, kwargs))
+        return self
+
+
+@pytest.mark.parametrize(
+    "stage",
+    ["extract_normalize", "extract", "normalize", "score", "model_score"],
+)
+def test_stages_are_task_maps(stage):
+    """Every stage, a pair-model scorer included, maps a plain function
+    (one stage object per worker process) with no concurrency, so Ray
+    Data can fuse it with the map before it and starts no actor
+    pool."""
+    import inspect
+
+    from bern_ray.pipelines import linkage
+
+    ds = _RecordingDataset()
+    if stage == "extract_normalize":
+        linkage.extract_normalize_mentions(ds, concurrency=(1, 4))
+    elif stage == "extract":
+        linkage.extract_mentions(ds)
+    elif stage == "normalize":
+        linkage.normalize_mentions(ds)
+    elif stage == "score":
+        linkage.score_pairs(ds, None, concurrency=(1, 4), vocab=object())
+    else:
+        linkage.score_pairs(
+            ds,
+            None,
+            concurrency=(1, 4),
+            vocab=object(),
+            pair_model_loader=lambda: None,
+        )
+    (fn, kwargs), = ds.calls
+    assert inspect.isfunction(fn)
+    assert "concurrency" not in kwargs
+    assert "fn_constructor_kwargs" not in kwargs
+
+
+def test_process_instance_is_one_per_class_and_key(monkeypatch):
+    from bern_ray.pipelines import linkage
+
+    monkeypatch.setattr(linkage, "_INSTANCES", {})
+    built = []
+
+    class Stage:
+        def __init__(self, **kwargs):
+            built.append(kwargs)
+
+    a = linkage._process_instance(Stage, ("edges", "r1"), x=1)
+    assert linkage._process_instance(Stage, ("edges", "r1"), x=1) is a
+    b = linkage._process_instance(Stage, ("edges", "r2"), x=2)
+    assert b is not a
+    assert built == [{"x": 1}, {"x": 2}]
+    # the replaced instance is no longer held
+    assert list(linkage._INSTANCES.values()) == [(("edges", "r2"), b)]
+
+
+def test_assign_clusters_bucket_min_oid_else_fold_key():
+    """Two roots in one bucket: root 1 has a resolved oid (its least
+    one wins over a null), root 2 has none and takes its least fold key
+    by code point ('zeta' < 'éta'); rows keep their order and the mention columns pass
+    through."""
+    import pyarrow as pa
+
+    from bern_ray.pipelines.linkage import _assign_clusters_bucket
+
+    t = pa.table(
+        {
+            "url": ["u0", "u1", "u2", "u3", "u4"],
+            "mention_id": pa.array([10, 11, 12, 13, 14], pa.int64()),
+            "etype": ["gene"] * 5,
+            "start": pa.array([0, 1, 2, 3, 4], pa.int64()),
+            "end": pa.array([1, 2, 3, 4, 5], pa.int64()),
+            "surface": ["a", "b", "c", "d", "e"],
+            "oid": ["O:9", None, None, "O:3", None],
+            "ids": pa.array(
+                [["x"], [], [], ["y", "z"], []], pa.list_(pa.string())
+            ),
+            "fold_key": ["k", "zeta", "éta", "j", "ötz"],
+            "root": pa.array([1, 2, 2, 1, 2], pa.int64()),
+        }
+    )
+    out = _assign_clusters_bucket(t)
+    assert out.column_names == [
+        c for c in t.column_names if c != "root"
+    ] + ["cluster_id"]
+    assert out["ids"].type == pa.list_(pa.string())
+    assert out.drop_columns(["cluster_id"]).equals(t.drop_columns(["root"]))
+    assert out["cluster_id"].to_pylist() == [
+        "BERN:O:3",
+        "SURF:zeta",
+        "SURF:zeta",
+        "BERN:O:3",
+        "SURF:zeta",
+    ]
