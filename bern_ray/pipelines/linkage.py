@@ -41,6 +41,7 @@ import ray.data
 from ..sources.pages import read_pages
 from ..stages.blocking import (
     DEFAULT_SALT_THRESHOLD,
+    N_PAIR_BUCKETS,
     attach_pair_attrs,
     build_attr_vocab,
     candidate_pairs,
@@ -48,7 +49,7 @@ from ..stages.blocking import (
 from ..stages.bucketed import bucketed_apply, segments
 from ..stages.extract import MentionExtractor
 from ..stages.normalize import MentionNormalizer
-from ..stages.partitions import session_cpus
+from ..stages.partitions import plan_buckets, session_cpus, source_rows
 from ..stages.scoring import PairScorer, edges_only
 from ..state.checkpoint import checkpointed, source_digest
 
@@ -261,10 +262,14 @@ _MENTION_SCHEMA = {
 }
 
 
+CLUSTER_BUCKETS = 256
+
+
 def cluster_mentions(
     normalized: "ray.data.Dataset",
     edges: "ray.data.Dataset",
     cc_mode: str = "auto",
+    num_buckets: int = CLUSTER_BUCKETS,
 ) -> "ray.data.Dataset":
     """Attach cluster_id via CC labels + per-component id assignment.
 
@@ -272,11 +277,18 @@ def cluster_mentions(
     mention_id=node attaches them (stages/join.py), so nothing funnels
     through the driver in 'lp' mode — singleton mentions (no edge, no
     label row) null-fill and root to themselves.
-    """
-    from ..stages.cc import components_labels
-    from ..stages.join import bucket_join
 
-    labels = components_labels(edges, mode=cc_mode)
+    ``num_buckets`` sizes the cluster assignment; the label join and
+    contraction CC take it too, capped at their own defaults (64). The
+    clusters are the same at any count: ids are per root, and a root's
+    rows share one bucket.
+    """
+    from ..stages.cc import CONTRACT_BUCKETS, components_labels
+    from ..stages.join import DEFAULT_NUM_BUCKETS, bucket_join
+
+    labels = components_labels(
+        edges, mode=cc_mode, num_buckets=min(num_buckets, CONTRACT_BUCKETS)
+    )
     joined = bucket_join(
         normalized,
         labels,
@@ -285,6 +297,7 @@ def cluster_mentions(
         left_schema=_MENTION_SCHEMA,
         right_schema={"node": pa.int64(), "label": pa.int64()},
         how="left",
+        num_buckets=min(num_buckets, DEFAULT_NUM_BUCKETS),
     )
 
     def add_root(t: pa.Table) -> pa.Table:
@@ -296,7 +309,9 @@ def cluster_mentions(
         )
 
     with_root = joined.map_batches(add_root, batch_format="pyarrow")
-    return bucketed_apply(with_root, "root", _assign_clusters_bucket, 256)
+    return bucketed_apply(
+        with_root, "root", _assign_clusters_bucket, num_buckets
+    )
 
 
 def incremental_linkage(
@@ -401,6 +416,18 @@ def check_pool_fits(concurrency: int | tuple, cpus: int) -> None:
         )
 
 
+def pass_buckets(sf_dir: str) -> int:
+    """Bucket count of the shuffles on a linkage pass over ``sf_dir``:
+    two per planned pages source block, from the same metadata row
+    count and session CPUs as ``read_pages``, capped at the largest
+    site constant (stages/partitions.py ``plan_buckets``)."""
+    return plan_buckets(
+        source_rows(f"{sf_dir}/documents.parquet"),
+        session_cpus(),
+        N_PAIR_BUCKETS,
+    )
+
+
 def linkage_pipeline(
     sf_dir: str,
     checkpoint_root: str | None = None,
@@ -430,6 +457,12 @@ def linkage_pipeline(
     Every stage is a task map; ``concurrency`` sizes none of them and
     is read only by ``check_pool_fits``.
 
+    The bucketed shuffles on the pass (pair generation, the label
+    join, contraction CC, cluster assignment) take the count
+    ``pass_buckets`` plans once from the input size; only the two-join
+    attach, taken above MAX_VOCAB surfaces, keeps its default. The
+    count changes no output, so it is not part of any checkpoint key.
+
     `normalized` and `scored_pairs` are each consumed by MULTIPLE
     downstream stages (hot-key count + pair-gen + cluster attach;
     edge filter + metrics), so they are pinned — to Parquet when a
@@ -440,6 +473,7 @@ def linkage_pipeline(
     consumer.
     """
     check_pool_fits(concurrency, session_cpus())
+    buckets = pass_buckets(sf_dir)
     if checkpoint_root is None:
         scored_emit = "edges"
     pair_model_loader = None
@@ -488,6 +522,7 @@ def linkage_pipeline(
                     dedup=False,
                     with_attrs=True,
                     vocab=vocab,
+                    num_buckets=buckets,
                 ),
                 None,
                 vocab=vocab,
@@ -500,6 +535,7 @@ def linkage_pipeline(
                 salt_threshold=salt_threshold,
                 dedup=False,
                 with_attrs=False,
+                num_buckets=buckets,
             ),
             normalized,
             dedup_in_attach=True,
@@ -528,7 +564,9 @@ def linkage_pipeline(
     edges = scored.map_batches(edges_only, batch_format="pyarrow")
     clusters = checkpointed(
         "clusters",
-        lambda: cluster_mentions(normalized, edges, cc_mode=cc_mode),
+        lambda: cluster_mentions(
+            normalized, edges, cc_mode=cc_mode, num_buckets=buckets
+        ),
         checkpoint_root,
         lineage=["normalized", "scored_pairs"],
         config={

@@ -147,10 +147,11 @@ def read_pages(sf_dir: str, replicate: int = 1) -> "ray.data.Dataset":
 
     The source block count is planned from the metadata row count ×
     ``replicate`` and the session's CPUs (stages/partitions.py): one
-    block per ~313 pages, between one and four per CPU. Every shuffle
-    downstream on the linkage path inherits it, so a small input pays
-    for a small fan-out, and a large one still gives each extraction
-    actor >= 4 tasks.
+    block per ~313 pages, between one and four per CPU. The linkage
+    pass plans its shuffle buckets from the same inputs (two per
+    block, ``pipelines/linkage.py`` ``pass_buckets``), so a small input
+    pays for a small fan-out, and a large one still gives each CPU
+    >= 4 tasks.
     """
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet",

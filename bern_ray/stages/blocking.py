@@ -46,7 +46,7 @@ import ray.data
 
 from ..core.fold import tmchem_key
 from ..core.minhash import _splitmix64, char_shingles, minhash_signatures
-from .broadcast import get_broadcast, put_broadcast
+from .broadcast import get_broadcast
 from .bucketed import bucketed_apply
 
 LSH_BANDS = 4  # detection prob at j=0.7: 1-(1-0.7^2)^4 ~= 0.93
@@ -92,13 +92,18 @@ MAX_VOCAB = 4_000_000  # int32 headroom; beyond this, two-join attach
 
 
 class AttrVocab:
-    """Broadcast handles for the sorted surface / oid vocabularies."""
+    """Broadcast handles for the sorted surface / oid vocabularies.
+
+    Plain ``ray.put``, not ``put_broadcast``: the refs ride inside task
+    closures (no linkage stage is an actor, so ray#53727 does not
+    apply), and the plans holding this object keep them alive; pinning
+    them for the driver's life would add two objects per pass."""
 
     def __init__(self, surfaces: np.ndarray, oids: np.ndarray):
         self.n_surfaces = len(surfaces)
         self.n_oids = len(oids)
-        self.surf_ref = put_broadcast(surfaces)
-        self.oid_ref = put_broadcast(oids)
+        self.surf_ref = ray.put(surfaces)
+        self.oid_ref = ray.put(oids)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return get_broadcast(self.surf_ref), get_broadcast(self.oid_ref)
@@ -435,10 +440,19 @@ def _emit_pairs_bucket(t: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
+def _least_key_per_pair(df):
+    """One row per (a_mid, b_mid): the one with the least key, so which
+    originating key survives depends neither on the row order nor on
+    the bucket count."""
+    return df.sort_values(["a_mid", "b_mid", "key"]).drop_duplicates(
+        ["a_mid", "b_mid"]
+    )
+
+
 def _dedup_pairs_bucket(t: pa.Table) -> pa.Table:
     """Global exact pair dedup (in-bucket == global: identical pairs
-    share a_mid, hence a bucket). Keeps one originating key per pair."""
-    g = t.to_pandas().drop_duplicates(["a_mid", "b_mid"])
+    share a_mid, hence a bucket)."""
+    g = _least_key_per_pair(t.to_pandas())
     return pa.table(
         {
             "a_mid": pa.array(g["a_mid"].to_numpy(), type=pa.int64()),
@@ -448,8 +462,10 @@ def _dedup_pairs_bucket(t: pa.Table) -> pa.Table:
     )
 
 
-def dedup_pairs(pairs: "ray.data.Dataset") -> "ray.data.Dataset":
-    return bucketed_apply(pairs, "a_mid", _dedup_pairs_bucket, N_PAIR_BUCKETS)
+def dedup_pairs(
+    pairs: "ray.data.Dataset", num_buckets: int = N_PAIR_BUCKETS
+) -> "ray.data.Dataset":
+    return bucketed_apply(pairs, "a_mid", _dedup_pairs_bucket, num_buckets)
 
 
 # The skew census runs on a deterministic 1/2^HOT_SAMPLE_SHIFT row
@@ -512,6 +528,7 @@ def candidate_pairs(
     dedup: bool = True,
     with_attrs: bool = False,
     vocab: AttrVocab | None = None,
+    num_buckets: int = N_PAIR_BUCKETS,
 ) -> "ray.data.Dataset":
     """mentions (with oid) -> candidate pairs (a_mid, b_mid, key).
 
@@ -531,13 +548,21 @@ def candidate_pairs(
     ``vocab`` (build_attr_vocab) to carry them as int32 codes instead
     of strings: the sort then ships only fixed-width ints and the
     scorer decodes per unique code against the broadcast vocabulary.
+
+    ``num_buckets`` sizes the pair-gen shuffle and the dedup shuffle;
+    `linkage_pipeline` plans it per pass (stages/partitions.py). The
+    pairs are the same at any count: a block key's rows share one
+    bucket, and so do a pair's duplicates (keyed by a_mid).
     """
     exploded = mentions.map_batches(
         lambda t: explode_block_keys(t, with_attrs=with_attrs, vocab=vocab),
         batch_format="pyarrow",
     )
     return pairs_from_exploded(
-        exploded, salt_threshold=salt_threshold, dedup=dedup
+        exploded,
+        salt_threshold=salt_threshold,
+        dedup=dedup,
+        num_buckets=num_buckets,
     )
 
 
@@ -545,6 +570,7 @@ def pairs_from_exploded(
     exploded: "ray.data.Dataset",
     salt_threshold: int = DEFAULT_SALT_THRESHOLD,
     dedup: bool = True,
+    num_buckets: int = N_PAIR_BUCKETS,
 ) -> "ray.data.Dataset":
     """Exploded (key, base, mention_id[, attrs]) rows -> candidate
     pairs. Split out of `candidate_pairs` so callers that PERSIST the
@@ -647,9 +673,9 @@ def pairs_from_exploded(
         stream.drop_columns(["base"]),
         "key",
         _emit_pairs_bucket,
-        N_PAIR_BUCKETS,
+        num_buckets,
     )
-    return dedup_pairs(pairs) if dedup else pairs
+    return dedup_pairs(pairs, num_buckets) if dedup else pairs
 
 
 def attach_pair_attrs(
@@ -672,11 +698,7 @@ def attach_pair_attrs(
     """
     from .join import bucket_join
 
-    prepare = (
-        (lambda df: df.drop_duplicates(["a_mid", "b_mid"]))
-        if dedup
-        else None
-    )
+    prepare = _least_key_per_pair if dedup else None
 
     def side_attrs(prefix: str):
         return mentions.map_batches(

@@ -11,14 +11,26 @@ fn re-deserializes pickled payloads such as string arrays every call).
 refs that live only inside serialized dataset plans are borrowed, and
 an actor restart after the driver-side variable goes out of scope
 would otherwise fail to recover its constructor args (ray#53727).
+Callers whose refs ride only in task closures (the linkage vocab,
+stages/blocking.py ``AttrVocab``) use plain ``ray.put`` and are not
+pinned.
+
+``get_broadcast`` keeps the ``CACHE_SIZE`` most recently read values
+per process, so a long-lived worker running pass after pass holds a
+bounded number of them (and of the plasma buffers their zero-copy
+arrays pin), not every value it ever read.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import ray
 
+CACHE_SIZE = 4  # two passes' worth of the linkage vocab's two arrays
+
 _KEEPALIVE: list = []
-_CACHE: dict = {}
+_CACHE: OrderedDict = OrderedDict()
 
 
 def put_broadcast(obj) -> "ray.ObjectRef":
@@ -28,8 +40,12 @@ def put_broadcast(obj) -> "ray.ObjectRef":
 
 
 def get_broadcast(ref):
-    """ray.get with a per-process deserialization cache."""
+    """ray.get with a per-process LRU deserialization cache."""
     key = ref.hex()
-    if key not in _CACHE:
+    if key in _CACHE:
+        _CACHE.move_to_end(key)
+    else:
         _CACHE[key] = ray.get(ref)
+        while len(_CACHE) > CACHE_SIZE:
+            _CACHE.popitem(last=False)
     return _CACHE[key]

@@ -10,15 +10,22 @@ generation and pair dedup (stages/blocking.py), contraction CC
 family's band / posting-list shuffles (functions/dedup.py) and the
 meta-blocking token, pair and node passes (functions/metablocking.py,
 summing partials with `segmented_reduce`): shuffle ONCE on
-``bucket = hash(key) % K`` (K small and fixed, independent of key
-cardinality), then hand the WHOLE bucket to a vectorized kernel that
-lexsorts by (key, order cols) and segments per key with numpy
-run-length arithmetic — C speed inside, K Python calls total.
+``bucket = hash(key) % K`` (K small, independent of key cardinality),
+then hand the WHOLE bucket to a vectorized kernel that lexsorts by
+(key, order cols) and segments per key with numpy run-length
+arithmetic — C speed inside, K Python calls total.
+
+K is the caller's ``num_buckets``. The linkage pass plans it once from
+its input size (stages/partitions.py ``plan_buckets``: two buckets
+per source block, capped at each site's old constant), so a small pass
+makes a few kernel calls instead of hundreds; the other callers pass a
+fixed count. A kernel's output never depends on K, since all rows of a
+key share one bucket at any count.
 
 Every kernel gets a pyarrow.Table containing all rows of one bucket
 (the ``_bucket`` column already stripped) and returns a pyarrow.Table.
-The partitioning assumption is one BUCKET fits one task (tunable via
-``num_buckets``), not one key — keys never need to be rare.
+The partitioning assumption is one BUCKET fits one task, not one key
+— keys never need to be rare.
 """
 
 from __future__ import annotations

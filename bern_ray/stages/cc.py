@@ -105,12 +105,13 @@ def union_find_streaming(edges: "ray.data.Dataset") -> dict[int, int]:
 
 
 FINAL_SOLVE_MAX_ROWS = 20_000_000  # one task's comfortable numpy solve
+CONTRACT_BUCKETS = 64
 
 
 def contract_cc(
     edges: "ray.data.Dataset",
     rounds: int | None = None,
-    num_buckets: int = 64,
+    num_buckets: int = CONTRACT_BUCKETS,
     final_solve_max_rows: int = FINAL_SOLVE_MAX_ROWS,
     max_rounds: int = 6,
 ) -> "ray.data.Dataset":
@@ -205,6 +206,7 @@ def components_labels(
     edges: "ray.data.Dataset",
     mode: str = "auto",
     driver_limit: int = DRIVER_EDGE_LIMIT,
+    num_buckets: int = CONTRACT_BUCKETS,
 ) -> "ray.data.Dataset":
     """node -> component label as a Dataset(node, label) — the
     scale-facing API: in 'lp' mode labels NEVER leave the cluster; the
@@ -215,16 +217,18 @@ def components_labels(
     falls back to distributed contraction CC the moment the stream
     exceeds ``driver_limit`` — one pass in the common case, no
     separate counting pass, and the scale path is actually reachable.
+    ``num_buckets`` sizes the contraction rounds; the labels are the
+    same at any count.
     """
     if mode == "lp":
-        return contract_cc(edges)
+        return contract_cc(edges, num_buckets=num_buckets)
     srcs, dsts, total = [], [], 0
     for b in edges.iter_batches(batch_size=65536, batch_format="pyarrow"):
         srcs.append(b["src"].to_numpy(zero_copy_only=False))
         dsts.append(b["dst"].to_numpy(zero_copy_only=False))
         total += b.num_rows
         if mode == "auto" and total > driver_limit:
-            return contract_cc(edges)
+            return contract_cc(edges, num_buckets=num_buckets)
     nodes, roots = _cc_arrays(
         np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64),
         np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64),

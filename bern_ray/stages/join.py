@@ -16,9 +16,13 @@ implementation to tune) and supports list-typed carry columns.
 
 Scale notes: the shuffle ships each side exactly once; `num_buckets`
 bounds per-task memory (a bucket must fit one worker's heap — at
-10^12 rows raise it proportionally); skewed keys split across buckets
-only if the caller salts them first (stages/blocking.py does for block
-keys; join keys here are near-unique ids).
+10^12 rows raise it proportionally) and sets the number of merge
+calls. ``DEFAULT_NUM_BUCKETS`` (64) serves direct callers; the linkage
+pass's label join takes the pass's planned count capped at it
+(stages/partitions.py), so 1,500 pages on 2 CPUs join in 10 buckets.
+Skewed keys split across buckets only if the caller salts them first
+(stages/blocking.py does for block keys; join keys here are
+near-unique ids).
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ a failure resumes from the last complete stage. Output is partitioned
 Parquet (clusters + PubAnnotation-style denotations), never one giant
 file. A metrics JSON line goes to stdout and ``<output>/_METRICS.json``;
 it includes the planned pages source block count (``source_blocks``),
-the session's CPUs (``ray_cpus``) the plan was made for, and the
+the bucket count of the pass's shuffles (``shuffle_buckets``), the
+session's CPUs (``ray_cpus``) both were planned for, and the
 cap/skew counters of the run (``caps``: hot keys salted, capped
 segments, elided pairs; state/counters.py).
 """
@@ -75,6 +76,7 @@ def main() -> None:
     from bern_ray.pipelines.linkage import (
         DEFAULT_SALT_THRESHOLD,
         linkage_pipeline,
+        pass_buckets,
     )
     from bern_ray.sources.output import write_outputs
     from bern_ray.sources.pages import pages_source_blocks
@@ -106,6 +108,7 @@ def main() -> None:
         "wall_sec": round(time.monotonic() - t0, 3),
         "checkpoint": args.checkpoint,
         "source_blocks": pages_source_blocks(args.input),
+        "shuffle_buckets": pass_buckets(args.input),
         "ray_cpus": session_cpus(),
         "caps": counters.snapshot(),
     }

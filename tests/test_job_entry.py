@@ -35,6 +35,9 @@ def test_job_entrypoint_smoke(tmp_path):
         [l for l in proc.stdout.splitlines() if l.startswith("{")][-1]
     )
     assert metrics["n_cluster_rows"] > 0
+    # the plans the pass ran with
+    assert metrics["source_blocks"] >= 1
+    assert metrics["shuffle_buckets"] >= 1
     # partitioned parquet sinks exist (hive partition dirs for clusters)
     assert (out / "denotations").is_dir()
     cluster_parts = list((out / "clusters").glob("etype=*"))

@@ -258,6 +258,9 @@ class _RecordingDataset:
         self.calls.append((fn, kwargs))
         return self
 
+    def materialize(self):
+        return self
+
 
 @pytest.mark.parametrize(
     "stage",
@@ -293,6 +296,37 @@ def test_stages_are_task_maps(stage):
     assert inspect.isfunction(fn)
     assert "concurrency" not in kwargs
     assert "fn_constructor_kwargs" not in kwargs
+
+
+def test_pipeline_passes_planned_buckets(monkeypatch):
+    """linkage_pipeline plans one bucket count from the pages metadata
+    and the session's CPUs, and hands it to pair generation and to
+    cluster_mentions (500 pages on 3 CPUs: 3 blocks, 6 buckets)."""
+    from bern_ray.pipelines import linkage
+
+    seen = {}
+
+    def candidate_pairs(mentions, **kwargs):
+        seen["candidate_pairs"] = kwargs["num_buckets"]
+        return _RecordingDataset()
+
+    def cluster_mentions(normalized, edges, **kwargs):
+        seen["cluster_mentions"] = kwargs["num_buckets"]
+        return _RecordingDataset()
+
+    monkeypatch.setattr(linkage, "session_cpus", lambda: 3)
+    monkeypatch.setattr(linkage, "read_pages", lambda sf: _RecordingDataset())
+    monkeypatch.setattr(
+        linkage, "extract_normalize_mentions", lambda p, **kw: p
+    )
+    monkeypatch.setattr(linkage, "build_attr_vocab", lambda ds: object())
+    monkeypatch.setattr(linkage, "candidate_pairs", candidate_pairs)
+    monkeypatch.setattr(linkage, "score_pairs", lambda p, n, **kw: p)
+    monkeypatch.setattr(linkage, "cluster_mentions", cluster_mentions)
+
+    assert linkage.pass_buckets(SF) == 6
+    linkage.linkage_pipeline(SF, concurrency=(1, 2))
+    assert seen == {"candidate_pairs": 6, "cluster_mentions": 6}
 
 
 def test_process_instance_is_one_per_class_and_key(monkeypatch):

@@ -1,12 +1,16 @@
-"""Source block planner (stages/partitions.py): the formula and its
-metadata input are pure; one Ray test checks read_pages follows it."""
+"""Partition planner (stages/partitions.py): the formulas and their
+metadata input are pure; Ray tests check read_pages follows the block
+plan and that the bucket count changes no linkage output."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+import pytest
+
 from bern_ray.stages.partitions import (
     PAGES_PER_BLOCK,
     plan_blocks,
+    plan_buckets,
     source_rows,
 )
 
@@ -66,3 +70,99 @@ def test_read_pages_uses_planned_blocks(ray_session):
     ).sort_by("url")
     want = pages_table(SF).sort_by("url")
     assert got.equals(want)
+
+
+def test_headline_keeps_todays_bucket_counts():
+    # sf0.1 x replicate 8 at 32 CPUs: the pair-gen / cluster 256 and
+    # the join / contraction 64 are unchanged
+    assert plan_buckets(40_000, 32, 256) == 256
+    assert plan_buckets(40_000, 32, 64) == 64
+
+
+def test_buckets_follow_small_inputs():
+    # the er_distinct benchmark pass: 1,500 pages on 2 CPUs, 5 blocks
+    assert plan_buckets(1_500, 2, 256) == 10
+    # a tiny input gets two buckets per CPU
+    assert plan_buckets(1, 4, 256) == 8
+    assert plan_buckets(500, 8, 256) == 16
+    # never more than four blocks' worth per CPU, nor the cap
+    assert plan_buckets(10**9, 2, 256) == 16
+    assert plan_buckets(10**9, 64, 256) == 256
+
+
+def _sorted_table(ds, keys):
+    t = pa.concat_tables(
+        ds.iter_batches(batch_format="pyarrow", batch_size=None)
+    )
+    return t.sort_by([(k, "ascending") for k in keys])
+
+
+@pytest.fixture(scope="module")
+def linkage_inputs(ray_session):
+    """sf0.001 mentions and their scored edges, computed once."""
+    from bern_ray.pipelines.linkage import (
+        extract_normalize_mentions,
+        score_pairs,
+    )
+    from bern_ray.sources.pages import read_pages
+    from bern_ray.stages.blocking import build_attr_vocab, candidate_pairs
+    from bern_ray.stages.scoring import edges_only
+
+    normalized = extract_normalize_mentions(read_pages(SF)).materialize()
+    vocab = build_attr_vocab(normalized)
+    edges = (
+        score_pairs(
+            candidate_pairs(
+                normalized, dedup=False, with_attrs=True, vocab=vocab
+            ),
+            None,
+            vocab=vocab,
+            emit="edges",
+        )
+        .map_batches(edges_only, batch_format="pyarrow")
+        .materialize()
+    )
+    return normalized, edges
+
+
+def test_bucket_count_changes_no_linkage_output(linkage_inputs):
+    """Pair generation with its dedup, and cluster_mentions with the
+    label join, contraction CC and cluster assignment, give the same
+    rows at one bucket, at the planned count and at the old 256."""
+    from bern_ray.pipelines.linkage import cluster_mentions, pass_buckets
+    from bern_ray.stages.blocking import candidate_pairs
+
+    normalized, edges = linkage_inputs
+    planned = pass_buckets(SF)
+    assert planned == 8  # 500 pages on the 4-CPU session: 2 x 4 blocks
+    pairs, deduped, clusters = [], [], []
+    for n in (1, planned, 256):
+        pairs.append(
+            _sorted_table(
+                candidate_pairs(normalized, dedup=False, num_buckets=n),
+                ["a_mid", "b_mid", "key"],
+            )
+        )
+        # one row per pair, with the same surviving key at every count
+        deduped.append(
+            _sorted_table(
+                candidate_pairs(normalized, dedup=True, num_buckets=n),
+                ["a_mid", "b_mid"],
+            )
+        )
+        clusters.append(
+            _sorted_table(
+                cluster_mentions(
+                    normalized, edges, cc_mode="lp", num_buckets=n
+                ),
+                ["mention_id"],
+            )
+        )
+    assert pairs[0].num_rows > 0
+    assert clusters[0].num_rows == normalized.count()
+    for t in pairs[1:]:
+        assert t.equals(pairs[0])
+    for t in deduped[1:]:
+        assert t.equals(deduped[0])
+    for t in clusters[1:]:
+        assert t.equals(clusters[0])

@@ -53,3 +53,30 @@ def test_no_hand_written_bucket_shuffle(module):
 def test_no_second_prep_batch_constant(module):
     # PREP_BATCH (stages/bucketed.py) is the one shuffle-prep batch size
     assert "SHUFFLE_PREP_ROWS" not in (PKG / module).read_text()
+
+
+def _bucket_count_arg(call: ast.Call) -> ast.expr | None:
+    """The bucket-count argument of a ``bucketed_apply`` (4th positional
+    or ``num_buckets=``) or ``bucket_join`` (``num_buckets=``) call."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if name not in ("bucketed_apply", "bucket_join"):
+        return None
+    for kw in call.keywords:
+        if kw.arg == "num_buckets":
+            return kw.value
+    if name == "bucketed_apply" and len(call.args) >= 4:
+        return call.args[3]
+    return None
+
+
+def test_linkage_bucket_counts_are_planned():
+    """Every shuffle on the linkage pass takes a planned or named count
+    (stages/partitions.py), never a literal sized for one input."""
+    tree = ast.parse((PKG / "pipelines/linkage.py").read_text())
+    literals = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(_bucket_count_arg(node), ast.Constant)
+    ]
+    assert literals == []
