@@ -16,6 +16,17 @@ Pair outputs use (a < b) ordering and are exact-deduplicated, so the
 LSH candidate multiplicity never leaks into results. Shuffle costs:
 one groupby per operator on a pre-reduced key set (partial combines
 inside map_batches), per SURVEY.md §7.4.
+
+Bucket counts. The shingle-set operators (minhash, the setsim family,
+weighted Jaccard, ICWS) materialize a per-doc table first, so each
+plans its bucket count from that table's row count
+(``_planned_buckets``: stages/partitions.py ``plan_buckets`` capped at
+``_DEDUP_BUCKETS`` for the band / posting shuffle, and again at the
+join default 64 for the two verify joins). 2,000 docs at 2 CPUs get 14
+buckets where a fixed count made 128 and 64 kernel calls; 40,000 docs
+at 32 CPUs keep 128 and 64. Every kernel works per band, token or
+doc_id, whose rows share one bucket at any count, so no output
+depends on it.
 """
 
 from __future__ import annotations
@@ -33,7 +44,9 @@ from ..core.minhash import (
     simhash,
     token_shingles,
 )
-from ..stages.bucketed import PREP_BATCH, bucketed_apply
+from ..stages.bucketed import PREP_BATCH, bucketed_apply, segments
+from ..stages.join import DEFAULT_NUM_BUCKETS
+from ..stages.partitions import plan_buckets, session_cpus
 from .textstats import fingerprint_batch
 
 MINHASH_PERMS = 128
@@ -110,6 +123,33 @@ def _minhash_band_rows(t: pa.Table, k: int) -> pa.Table:
 _DEDUP_BUCKETS = 128
 
 
+def _planned_buckets(*tables: "ray.data.MaterializedDataset") -> int:
+    """One operator's bucket count, planned from its materialized
+    per-doc table(s): ``count()`` of a materialized dataset reads block
+    metadata, never the data."""
+    rows = sum(t.count() for t in tables)
+    return plan_buckets(rows, session_cpus(), _DEDUP_BUCKETS)
+
+
+_EMPTY_PAIRS = pa.table(
+    {
+        "doc_id_a": pa.array([], type=pa.int64()),
+        "doc_id_b": pa.array([], type=pa.int64()),
+    }
+)
+
+
+def _sorted_unique(t: pa.Table, keys: list[str]) -> pa.Table:
+    """``t`` stably sorted by ``keys``, keeping the first row of each
+    run of equal keys (pandas' ``drop_duplicates(keys)`` followed by a
+    stable ``sort_values(keys)``). Strings sort by code point."""
+    t = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys]))
+    starts, _ = segments(
+        *(t[k].to_numpy(zero_copy_only=False) for k in keys)
+    )
+    return t.take(starts)
+
+
 # all-pairs guard: bands at or under this size emit the FULL pair set
 # (the DuckDB all-pairs oracle regime); larger bands switch to the
 # duplicate-class collapse + spanning emission below — O(n) per band
@@ -176,24 +216,10 @@ def _band_pairs_bucket(band_cap: int | None = None):
     def fn(t: pa.Table) -> pa.Table:
         from ..stages.blocking import segment_pairs
 
-        g = t.to_pandas().drop_duplicates(["band", "doc_id"])
-        g = g.sort_values(["band", "doc_id"], kind="mergesort").reset_index(
-            drop=True
-        )
-        bands = g["band"].to_numpy(dtype=object)
-        n = len(g)
-        if n == 0:
-            return pa.table(
-                {
-                    "doc_id_a": pa.array([], type=pa.int64()),
-                    "doc_id_b": pa.array([], type=pa.int64()),
-                }
-            )
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = bands[1:] != bands[:-1]
-        starts = np.flatnonzero(new_run)
-        sizes = np.diff(np.append(starts, n))
+        g = _sorted_unique(t, ["band", "doc_id"])
+        if g.num_rows == 0:
+            return _EMPTY_PAIRS
+        starts, sizes = segments(g["band"].to_numpy(zero_copy_only=False))
         ids = g["doc_id"].to_numpy()
         if band_cap is None:
             small = np.ones(len(sizes), dtype=bool)
@@ -282,26 +308,28 @@ def minhash_neardup(
     ``dropped_pairs`` counter (cap_metrics()).
 
     Execution shape: (1) one pass emits (band, doc_id) rows; (2) one
-    bucketed groupby generates candidate pairs vectorized; (3) pairs
-    are deduped by a groupby on the pair key; (4) exact verification
-    attaches both docs' shingle sets with two DISTRIBUTED bucketed
-    hash joins on doc_id (stages/join.py) — the shingle table never
-    funnels through the driver, so the verify holds at 10^12-doc
-    scale. The shingle Dataset is pinned once (object store,
-    spillable) because both joins consume it.
+    bucketed groupby generates candidate pairs vectorized; (3) exact
+    verification attaches both docs' shingle sets with two DISTRIBUTED
+    bucketed hash joins on doc_id (stages/join.py), the pair dedup
+    folded into the first — the shingle table never funnels through
+    the driver, so the verify holds at 10^12-doc scale. The shingle
+    Dataset is pinned once (object store, spillable) because both
+    joins consume it, and its row count (block metadata) plans the
+    bucket count of all three shuffles (_planned_buckets).
     """
     shingles = docs.map_batches(
         lambda t: _shingle_list_rows(t, shingle_k), batch_format="pyarrow"
     ).materialize()
 
+    num_buckets = _planned_buckets(shingles)
     band_rows = docs.map_batches(
         lambda t: _minhash_band_rows(t, shingle_k), batch_format="pyarrow"
     )
     pairs = bucketed_apply(
-        band_rows, "band", _band_pairs_bucket(band_cap), _DEDUP_BUCKETS
+        band_rows, "band", _band_pairs_bucket(band_cap), num_buckets
     )
 
-    return verify_jaccard_pairs(pairs, shingles, threshold)
+    return verify_jaccard_pairs(pairs, shingles, threshold, num_buckets)
 
 
 # set-similarity measures over shingle sets, each with the constants
@@ -373,12 +401,49 @@ def verify_jaccard_pairs(
     pairs: "ray.data.Dataset",
     shingles: "ray.data.Dataset",
     threshold: float,
+    num_buckets: int = DEFAULT_NUM_BUCKETS,
 ) -> "ray.data.Dataset":
     """Jaccard specialization of verify_setsim_pairs (column name
     `jaccard` — the minhash family's output contract)."""
     return verify_setsim_pairs(
-        pairs, shingles, threshold, sim="jaccard", score_col="jaccard"
+        pairs,
+        shingles,
+        threshold,
+        sim="jaccard",
+        score_col="jaccard",
+        num_buckets=num_buckets,
     )
+
+
+def _set_overlaps(
+    ta: pa.ChunkedArray, tb: pa.ChunkedArray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|A∩B|, |A|, |B|) per row of two list<int64> columns of unique
+    sets, in one flat pass: every value is tagged with its row, both
+    sides are sorted by (value, row) together, and a common element is
+    an adjacent equal (value, row) pair. A null list counts as the
+    empty set. The (value, row) order is one value argsort plus one
+    int sort of (value rank, row), half the cost of a two-key
+    lexsort."""
+    n = len(ta)
+    rows, vals, sizes = [], [], []
+    for col in (ta, tb):
+        col = col.combine_chunks()
+        size = pc.fill_null(pc.list_value_length(col), 0)
+        size = size.to_numpy(zero_copy_only=False).astype(np.int64)
+        sizes.append(size)
+        rows.append(np.repeat(np.arange(n, dtype=np.int64), size))
+        vals.append(col.flatten().to_numpy(zero_copy_only=False))
+    val = np.concatenate(vals)
+    order = np.argsort(val)
+    val = val[order]
+    new = np.ones(len(val), dtype=bool)
+    new[1:] = val[1:] != val[:-1]
+    # rank < len(val), so rank * n + row stays far below 2^63
+    key = np.sort((np.cumsum(new) - 1) * n + np.concatenate(rows)[order])
+    common = key[1:] == key[:-1]
+    inter = np.bincount(key[1:][common] % n, minlength=n)
+    return inter, sizes[0], sizes[1]
 
 
 def verify_setsim_pairs(
@@ -389,6 +454,7 @@ def verify_setsim_pairs(
     score_col: str | None = None,
     shingles_b: "ray.data.Dataset | None" = None,
     min_overlap: int = 0,
+    num_buckets: int = DEFAULT_NUM_BUCKETS,
 ) -> "ray.data.Dataset":
     """Exact set-similarity verification of candidate (doc_id_a,
     doc_id_b) pairs: both docs' shingle sets attach via two
@@ -400,9 +466,12 @@ def verify_setsim_pairs(
     measure (jaccard/cosine/dice) from _SETSIM_MEASURES. For R-S
     joins `shingles_b` supplies the b-side's sets (defaults to the
     self-join case: both sides read `shingles`). A pair is kept when
-    score >= `threshold` and |A∩B| >= `min_overlap`."""
+    score >= `threshold` and |A∩B| >= `min_overlap`. Both joins take
+    the caller's planned ``num_buckets``, capped at the join default;
+    the intersections are one flat pass per batch (_set_overlaps)."""
     from ..stages.join import bucket_join
 
+    num_buckets = min(num_buckets, DEFAULT_NUM_BUCKETS)
     score_fn = _SETSIM_MEASURES[sim]["score"]
     score_col = score_col or sim
     int_score = sim == "overlap"
@@ -425,6 +494,7 @@ def verify_setsim_pairs(
         left_schema=pair_schema,
         right_schema={"doc_id": pa.int64(), "tok_a": tok_t},
         how="left",
+        num_buckets=num_buckets,
         left_prepare=lambda df: df.drop_duplicates(
             ["doc_id_a", "doc_id_b"]
         ),
@@ -437,21 +507,13 @@ def verify_setsim_pairs(
         left_schema={**pair_schema, "tok_a": tok_t},
         right_schema={"doc_id": pa.int64(), "tok_b": tok_t},
         how="left",
+        num_buckets=num_buckets,
     )
 
     def verify(t: pa.Table) -> pa.Table:
         a = t["doc_id_a"].to_numpy(zero_copy_only=False)
         b = t["doc_id_b"].to_numpy(zero_copy_only=False)
-        ta = t["tok_a"].to_pylist()
-        tb = t["tok_b"].to_pylist()
-        inter = np.empty(len(a), dtype=np.int64)
-        na = np.empty(len(a), dtype=np.int64)
-        nb = np.empty(len(a), dtype=np.int64)
-        for i, (sa, sb) in enumerate(zip(ta, tb)):
-            sa = np.asarray(sa if sa is not None else [], dtype=np.int64)
-            sb = np.asarray(sb if sb is not None else [], dtype=np.int64)
-            inter[i] = len(np.intersect1d(sa, sb, assume_unique=True))
-            na[i], nb[i] = len(sa), len(sb)
+        inter, na, nb = _set_overlaps(t["tok_a"], t["tok_b"])
         score = score_fn(inter.astype(float), na, nb)
         keep = (score >= threshold) & (inter >= min_overlap)
         out_score = (
@@ -541,25 +603,10 @@ def _posting_pairs_bucket(
     def fn(t: pa.Table) -> pa.Table:
         from ..stages.blocking import segment_pairs
 
-        g = t.to_pandas().drop_duplicates(["tok", "doc_id"])
-        g = g.sort_values(["tok", "doc_id"], kind="mergesort").reset_index(
-            drop=True
-        )
-        m = len(g)
-        empty = pa.table(
-            {
-                "doc_id_a": pa.array([], type=pa.int64()),
-                "doc_id_b": pa.array([], type=pa.int64()),
-            }
-        )
-        if m < 2:
-            return empty
-        toks = g["tok"].to_numpy()
-        new_run = np.empty(m, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = toks[1:] != toks[:-1]
-        starts = np.flatnonzero(new_run)
-        sizes = np.diff(np.append(starts, m))
+        g = _sorted_unique(t, ["tok", "doc_id"])
+        if g.num_rows < 2:
+            return _EMPTY_PAIRS
+        starts, sizes = segments(g["tok"].to_numpy())
         stats: dict = {}
         ai, bi = segment_pairs(
             starts, sizes, cap=posting_cap, stats=stats
@@ -574,12 +621,12 @@ def _posting_pairs_bucket(
                 }
             )
         if len(ai) == 0:
-            return empty
+            return _EMPTY_PAIRS
         ids = g["doc_id"].to_numpy()
         nt = g["nt"].to_numpy()
         na, nb = nt[ai], nt[bi]
         keep = np.minimum(na, nb) >= coef * np.maximum(na, nb) - 1e-9
-        if positional and "pos" in g.columns:
+        if positional and "pos" in g.column_names:
             pos = g["pos"].to_numpy()
             ub = np.minimum(na - pos[ai], nb - pos[bi])
             pos_keep = ub >= coef * np.maximum(na, nb) - 1e-9
@@ -625,7 +672,9 @@ def setsim_neardup(
     (3) one bucketed groupby turns each prefix-token posting list into
         candidate pairs, size-ratio-filtered before emission;
     (4) exact Jaccard verification via the shared distributed-join
-        tail (verify_jaccard_pairs).
+        tail (verify_setsim_pairs).
+    The pinned shingle table's row count (block metadata) plans the
+    bucket count of steps (3) and (4) (_planned_buckets).
 
     Scale: posting lists of stop-shingles are the skew risk —
     `posting_cap` (opt-in, like minhash's band_cap) bounds them with a
@@ -637,6 +686,7 @@ def setsim_neardup(
         lambda t: _shingle_list_rows(t, shingle_k), batch_format="pyarrow"
     ).materialize()
 
+    num_buckets = _planned_buckets(shingles)
     prefix = shingles.map_batches(
         lambda t: _prefix_rows(t, coef, with_pos=positional),
         batch_format="pyarrow",
@@ -645,7 +695,7 @@ def setsim_neardup(
         prefix,
         "tok",
         _posting_pairs_bucket(coef, posting_cap, positional),
-        _DEDUP_BUCKETS,
+        num_buckets,
     )
     return verify_setsim_pairs(
         pairs,
@@ -653,6 +703,7 @@ def setsim_neardup(
         threshold,
         sim=sim,
         score_col="jaccard" if sim == "jaccard" else sim,
+        num_buckets=num_buckets,
     )
 
 
@@ -668,27 +719,14 @@ def _posting_pairs_rs_bucket(coef: float, posting_cap: int | None):
     trade documented, opt-in)."""
 
     def fn(t: pa.Table) -> pa.Table:
-        g = t.to_pandas().drop_duplicates(["tok", "side", "doc_id"])
-        g = g.sort_values(
-            ["tok", "side", "doc_id"], kind="mergesort"
-        ).reset_index(drop=True)
-        m = len(g)
-        empty = pa.table(
-            {
-                "doc_id_a": pa.array([], type=pa.int64()),
-                "doc_id_b": pa.array([], type=pa.int64()),
-            }
-        )
+        g = _sorted_unique(t, ["tok", "side", "doc_id"])
+        m = g.num_rows
         if m < 2:
-            return empty
-        toks = g["tok"].to_numpy()
+            return _EMPTY_PAIRS
         sides = g["side"].to_numpy()
         ids = g["doc_id"].to_numpy()
         nt = g["nt"].to_numpy()
-        new_run = np.empty(m, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = toks[1:] != toks[:-1]
-        starts = np.flatnonzero(new_run)
+        starts, _ = segments(g["tok"].to_numpy())
         ends = np.append(starts[1:], m)
         # side boundary inside each [start, end) segment (sides sorted
         # 0 then 1): index of the first side-1 row
@@ -713,7 +751,7 @@ def _posting_pairs_rs_bucket(coef: float, posting_cap: int | None):
                 n_pairs = np.minimum(n_pairs, posting_cap)
         total = int(n_pairs.sum())
         if total == 0:
-            return empty
+            return _EMPTY_PAIRS
         out_starts = np.zeros(len(n_pairs), dtype=np.int64)
         np.cumsum(n_pairs[:-1], out=out_starts[1:])
         within = np.arange(total, dtype=np.int64) - np.repeat(
@@ -791,8 +829,9 @@ def setsim_join(
             ).map_batches(tag(1), batch_format="pyarrow")
         )
     )
+    num_buckets = _planned_buckets(sh_r, sh_s)
     pairs = bucketed_apply(
-        pre, "tok", _posting_pairs_rs_bucket(coef, posting_cap), _DEDUP_BUCKETS
+        pre, "tok", _posting_pairs_rs_bucket(coef, posting_cap), num_buckets
     )
     return verify_setsim_pairs(
         pairs,
@@ -801,6 +840,7 @@ def setsim_join(
         sim=sim,
         score_col="jaccard" if sim == "jaccard" else sim,
         shingles_b=sh_s,
+        num_buckets=num_buckets,
     )
 
 
@@ -832,11 +872,7 @@ def _simhash_pairs_bucket(max_hamming: int):
     def fn(t: pa.Table) -> pa.Table:
         from ..stages.blocking import segment_pairs
 
-        g = t.to_pandas().drop_duplicates(["band", "doc_id"])
-        g = g.sort_values(["band", "doc_id"], kind="mergesort").reset_index(
-            drop=True
-        )
-        n = len(g)
+        g = _sorted_unique(t, ["band", "doc_id"])
         empty = pa.table(
             {
                 "doc_id_a": pa.array([], type=pa.int64()),
@@ -844,14 +880,9 @@ def _simhash_pairs_bucket(max_hamming: int):
                 "hamming": pa.array([], type=pa.int64()),
             }
         )
-        if n < 2:
+        if g.num_rows < 2:
             return empty
-        bands = g["band"].to_numpy(dtype=object)
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = bands[1:] != bands[:-1]
-        starts = np.flatnonzero(new_run)
-        sizes = np.diff(np.append(starts, n))
+        starts, sizes = segments(g["band"].to_numpy(zero_copy_only=False))
         ai, bi = segment_pairs(starts, sizes, cap=None)
         if len(ai) == 0:
             return empty
@@ -1869,25 +1900,10 @@ def _posting_pairs_abs_bucket(
     def fn(t: pa.Table) -> pa.Table:
         from ..stages.blocking import segment_pairs
 
-        g = t.to_pandas().drop_duplicates(["tok", "doc_id"])
-        g = g.sort_values(
-            ["tok", "doc_id"], kind="mergesort"
-        ).reset_index(drop=True)
-        m = len(g)
-        empty = pa.table(
-            {
-                "doc_id_a": pa.array([], type=pa.int64()),
-                "doc_id_b": pa.array([], type=pa.int64()),
-            }
-        )
-        if m < 2:
-            return empty
-        toks = g["tok"].to_numpy()
-        new_run = np.empty(m, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = toks[1:] != toks[:-1]
-        starts = np.flatnonzero(new_run)
-        sizes = np.diff(np.append(starts, m))
+        g = _sorted_unique(t, ["tok", "doc_id"])
+        if g.num_rows < 2:
+            return _EMPTY_PAIRS
+        starts, sizes = segments(g["tok"].to_numpy())
         stats: dict = {}
         ai, bi = segment_pairs(
             starts, sizes, cap=posting_cap, stats=stats
@@ -1904,7 +1920,7 @@ def _posting_pairs_abs_bucket(
                 }
             )
         if len(ai) == 0:
-            return empty
+            return _EMPTY_PAIRS
         ids = g["doc_id"].to_numpy()
         nt = g["nt"].to_numpy()
         keep = np.minimum(nt[ai], nt[bi]) >= min_overlap
@@ -1941,6 +1957,7 @@ def setsim_overlap_join(
         lambda t: _shingle_list_rows(t, shingle_k),
         batch_format="pyarrow",
     ).materialize()
+    num_buckets = _planned_buckets(shingles)
     prefix = shingles.map_batches(
         lambda t: _prefix_rows_abs(t, min_overlap),
         batch_format="pyarrow",
@@ -1949,7 +1966,7 @@ def setsim_overlap_join(
         prefix,
         "tok",
         _posting_pairs_abs_bucket(min_overlap, posting_cap),
-        _DEDUP_BUCKETS,
+        num_buckets,
     )
     return verify_setsim_pairs(
         pairs,
@@ -1957,6 +1974,7 @@ def setsim_overlap_join(
         float(min_overlap),
         sim="overlap",
         score_col="overlap",
+        num_buckets=num_buckets,
     )
 
 
@@ -1981,6 +1999,7 @@ def setsim_containment_join(
         lambda t: _shingle_list_rows(t, shingle_k),
         batch_format="pyarrow",
     ).materialize()
+    num_buckets = _planned_buckets(shingles)
     prefix = shingles.map_batches(
         lambda t: _prefix_rows_abs(t, min_overlap),
         batch_format="pyarrow",
@@ -1989,7 +2008,7 @@ def setsim_containment_join(
         prefix,
         "tok",
         _posting_pairs_abs_bucket(min_overlap, posting_cap),
-        _DEDUP_BUCKETS,
+        num_buckets,
     )
     return verify_setsim_pairs(
         pairs,
@@ -1998,6 +2017,7 @@ def setsim_containment_join(
         sim="containment",
         score_col="containment",
         min_overlap=min_overlap,
+        num_buckets=num_buckets,
     )
 
 
@@ -2102,6 +2122,7 @@ def weighted_jaccard_neardup(
     elems = docs.map_batches(
         _tf_expanded_rows, batch_format="pyarrow"
     ).materialize()
+    num_buckets = _planned_buckets(elems)
     prefix = elems.map_batches(
         lambda t: _prefix_rows(t, coef, with_pos=positional),
         batch_format="pyarrow",
@@ -2110,10 +2131,15 @@ def weighted_jaccard_neardup(
         prefix,
         "tok",
         _posting_pairs_bucket(coef, posting_cap, positional),
-        _DEDUP_BUCKETS,
+        num_buckets,
     )
     return verify_setsim_pairs(
-        pairs, elems, threshold, sim="jaccard", score_col="wjaccard"
+        pairs,
+        elems,
+        threshold,
+        sim="jaccard",
+        score_col="wjaccard",
+        num_buckets=num_buckets,
     )
 
 
@@ -2211,10 +2237,16 @@ def icws_neardup(
         _tf_expanded_rows, batch_format="pyarrow"
     ).materialize()
 
+    num_buckets = _planned_buckets(elems)
     band_rows = docs.map_batches(_icws_band_rows, batch_format="pyarrow")
     pairs = bucketed_apply(
-        band_rows, "band", _band_pairs_bucket(band_cap), _DEDUP_BUCKETS
+        band_rows, "band", _band_pairs_bucket(band_cap), num_buckets
     )
     return verify_setsim_pairs(
-        pairs, elems, threshold, sim="jaccard", score_col="wjaccard"
+        pairs,
+        elems,
+        threshold,
+        sim="jaccard",
+        score_col="wjaccard",
+        num_buckets=num_buckets,
     )

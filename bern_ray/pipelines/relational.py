@@ -4579,14 +4579,21 @@ def q_meta_blocking_quality(sf_dir: str):
     COMPLETENESS = gold pairs (identical name+type+brand triples)
     surviving the pruned candidate set, REDUCTION RATIO =
     1 - candidates / C(N,2). Gold-pair counts come from sum C(g,2)
-    over triple groups (value_counts partials — no pair inventory);
-    the candidate/matched counts attach triples to both endpoints via
-    two bucket_joins and reduce to driver scalars. Everything integer
-    until the final two ratios."""
+    over triple groups (value_counts partials, one ``bucketed_apply``
+    on the triple summing them with ``segmented_reduce`` — no pair
+    inventory); the candidate/matched counts attach triples to both
+    endpoints via two bucket_joins and reduce to driver scalars. Every
+    shuffle takes one count planned from the footer row count.
+    Everything integer until the final two ratios."""
     from ..functions.metablocking import meta_block_topk
-    from ..stages.join import bucket_join
+    from ..stages.bucketed import bucketed_apply, segmented_reduce
+    from ..stages.join import DEFAULT_NUM_BUCKETS, bucket_join
+    from ..stages.partitions import plan_buckets, session_cpus
 
     recs, n_records = _part_records(sf_dir, with_triple=True)
+    num_buckets = plan_buckets(
+        n_records, session_cpus(), DEFAULT_NUM_BUCKETS
+    )
 
     # gold pairs: sum C(g,2) over identical-triple groups
     def triple_counts(t: pa.Table) -> pa.Table:
@@ -4598,32 +4605,23 @@ def q_meta_blocking_quality(sf_dir: str):
             }
         )
 
-    gold_pairs = int(
-        recs.map_batches(triple_counts, batch_format="pyarrow")
-        .groupby("triple")
-        .sum("partial")
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "g2": pa.array(
-                        [
-                            int(
-                                (
-                                    lambda g: (g * (g - 1) // 2).sum()
-                                )(
-                                    t["sum(partial)"]
-                                    .combine_chunks()
-                                    .to_numpy(zero_copy_only=False)
-                                )
-                            )
-                        ],
-                        type=pa.int64(),
-                    )
-                }
-            ),
-            batch_format="pyarrow",
+    def pairs_in_bucket(t: pa.Table) -> pa.Table:
+        codes = pc.dictionary_encode(
+            t["triple"].combine_chunks(), null_encoding="encode"
+        ).indices
+        _, g = segmented_reduce(
+            codes.to_numpy(zero_copy_only=False).astype(np.int64),
+            t["partial"].to_numpy(),
         )
-        .sum("g2")
+        return pa.table({"g2": pa.array([int((g * (g - 1) // 2).sum())])})
+
+    gold_pairs = int(
+        bucketed_apply(
+            recs.map_batches(triple_counts, batch_format="pyarrow"),
+            "triple",
+            pairs_in_bucket,
+            num_buckets,
+        ).sum("g2")
         or 0
     )
 
@@ -4650,6 +4648,7 @@ def q_meta_blocking_quality(sf_dir: str):
         right_on="id",
         left_schema=pair_schema,
         right_schema={"id": pa.int64(), "triple": pa.string()},
+        num_buckets=num_buckets,
     ).map_batches(
         lambda t: pa.table(
             {"b": t["b"], "triple_a": t["triple"]}
@@ -4663,6 +4662,7 @@ def q_meta_blocking_quality(sf_dir: str):
         right_on="id",
         left_schema={"b": pa.int64(), "triple_a": pa.string()},
         right_schema={"id": pa.int64(), "triple": pa.string()},
+        num_buckets=num_buckets,
     ).map_batches(
         lambda t: pa.table(
             {

@@ -16,11 +16,13 @@ then hand the WHOLE bucket to a vectorized kernel that lexsorts by
 arithmetic — C speed inside, K Python calls total.
 
 K is the caller's ``num_buckets``. The linkage pass plans it once from
-its input size (stages/partitions.py ``plan_buckets``: two buckets
-per source block, capped at each site's old constant), so a small pass
-makes a few kernel calls instead of hundreds; the other callers pass a
-fixed count. A kernel's output never depends on K, since all rows of a
-key share one bucket at any count.
+its input size, and each near-dup operator that materializes a
+shingle table plans it from that table's row count
+(stages/partitions.py ``plan_buckets``: two buckets per planned block,
+capped at each site's old constant), so a small input makes a few
+kernel calls instead of hundreds; the other callers pass a fixed
+count. A kernel's output never depends on K, since all rows of a key
+share one bucket at any count.
 
 Every kernel gets a pyarrow.Table containing all rows of one bucket
 (the ``_bucket`` column already stripped) and returns a pyarrow.Table.

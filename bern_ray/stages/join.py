@@ -17,9 +17,12 @@ implementation to tune) and supports list-typed carry columns.
 Scale notes: the shuffle ships each side exactly once; `num_buckets`
 bounds per-task memory (a bucket must fit one worker's heap — at
 10^12 rows raise it proportionally) and sets the number of merge
-calls. ``DEFAULT_NUM_BUCKETS`` (64) serves direct callers; the linkage
-pass's label join takes the pass's planned count capped at it
-(stages/partitions.py), so 1,500 pages on 2 CPUs join in 10 buckets.
+calls. ``DEFAULT_NUM_BUCKETS`` (64) serves direct callers. Two
+callers plan the count (stages/partitions.py) and cap it at 64: the
+linkage pass's label join, so 1,500 pages on 2 CPUs join in 10
+buckets, and the near-dup verify joins (functions/dedup.py
+``verify_setsim_pairs``), from the operator's shingle table, so 2,000
+docs on 2 CPUs join in 14.
 Skewed keys split across buckets only if the caller salts them first
 (stages/blocking.py does for block keys; join keys here are
 near-unique ids).

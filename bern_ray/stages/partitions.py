@@ -1,5 +1,5 @@
-"""Partition planning: size the pages source and the shuffles on a
-linkage pass to the input.
+"""Partition planning: size the pages source, the shuffles on a
+linkage pass and the near-dup shuffles to the input.
 
 Source blocks. The pages source gets
 
@@ -10,22 +10,30 @@ large inputs, which avoids the wave quantisation of a few coarse tasks
 per worker. ``PAGES_PER_BLOCK`` puts sf0.1 x replicate 8 (40,000 pages)
 at 32 CPUs on 128 blocks, the count that headline was tuned at.
 
-Shuffle buckets. Every bucketed shuffle on a linkage pass (pair
-generation, pair dedup, the label join, contraction CC, cluster
-assignment) makes one kernel call per bucket, so a fixed count sized
-for 82k mentions on 32 CPUs pays hundreds of calls over a few thousand
-rows. The pass plans one count instead:
+Shuffle buckets. Every bucketed shuffle makes one kernel call per
+bucket, so a fixed count sized for 82k mentions on 32 CPUs pays
+hundreds of calls over a few thousand rows. Two paths plan one count
+instead:
 
     buckets = min(2 * blocks, cap)
 
-two per planned source block, never above the site's old constant
-``cap`` (256 for pair generation and cluster assignment, 64 for the
-join and contraction). The headline keeps exactly 256 and 64; 1,500
-pages at 2 CPUs get 10. Outputs never depend on it: every kernel works
-per key, and a key's rows share one bucket at any count.
+two per planned block, never above the site's old constant ``cap``.
 
-The row count comes from parquet metadata, never from a pass over the
-data.
+- A linkage pass plans once from the pages rows and passes the count
+  to pair generation, pair dedup, the label join, contraction CC and
+  cluster assignment (cap 256; 64 for the join and contraction). The
+  headline (sf0.1 x 8 at 32 CPUs) keeps exactly 256 and 64; 1,500
+  pages at 2 CPUs get 10.
+- Each near-dup operator that materializes a per-doc shingle (or tf)
+  table plans from its row count (functions/dedup.py): cap 128 for
+  the band / posting shuffle, 64 for the two verify joins. 40,000 docs
+  at 32 CPUs keep 128 and 64; 2,000 docs at 2 CPUs get 14.
+
+Outputs never depend on the count: every kernel works per key, and a
+key's rows share one bucket at any count.
+
+The row count comes from metadata, never from a pass over the data:
+the parquet footer, or the block metadata of a materialized dataset.
 """
 
 from __future__ import annotations

@@ -821,3 +821,187 @@ def test_setsim_positional_filter_output_preserving(ray_session):
     without = run(False)
     assert with_pos == without and len(with_pos) > 0
     assert pruned >= 1  # the filter actually did work
+
+
+# ---- flat set verification and the pandas-free pair kernels (pure) ----
+
+
+def _overlaps_loop(ta, tb):
+    """The per-pair reference: one intersect1d per row, None as empty."""
+    inter, na, nb = [], [], []
+    for sa, sb in zip(ta, tb):
+        sa = np.asarray(sa if sa is not None else [], dtype=np.int64)
+        sb = np.asarray(sb if sb is not None else [], dtype=np.int64)
+        inter.append(len(np.intersect1d(sa, sb, assume_unique=True)))
+        na.append(len(sa))
+        nb.append(len(sb))
+    return inter, na, nb
+
+
+def test_set_overlaps_match_per_pair_loop():
+    from bern_ray.functions.dedup import _set_overlaps
+
+    big = -(2**62)
+    ta = [
+        None,           # null vs set
+        [1, 2, 3],
+        [],             # empty vs set
+        [4, 5],         # disjoint
+        [7, 8, 9],      # identical
+        [11],           # one element, shared
+        [12],           # one element, not shared
+        [big, -5, -1, 3, 2**62],  # negative int64 hashes (b unsorted)
+        None,           # null vs null
+        [],             # empty vs null
+    ]
+    tb = [
+        [1, 2],
+        None,
+        [1],
+        [6, 10],
+        [7, 8, 9],
+        [11],
+        [13],
+        [-5, 2**62, big, 0],
+        None,
+        None,
+    ]
+    typ = pa.list_(pa.int64())
+    # split across chunks, as a joined batch can be
+    col_a = pa.chunked_array([pa.array(ta[:4], typ), pa.array(ta[4:], typ)])
+    col_b = pa.chunked_array([pa.array(tb[:7], typ), pa.array(tb[7:], typ)])
+    inter, na, nb = _set_overlaps(col_a, col_b)
+    want = _overlaps_loop(ta, tb)
+    assert [inter.tolist(), na.tolist(), nb.tolist()] == [list(w) for w in want]
+    assert inter.tolist() == [0, 0, 0, 0, 3, 1, 0, 3, 0, 0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.sets(st.integers(-(2**63), 2**63 - 1), max_size=6)),
+            st.one_of(st.none(), st.sets(st.integers(-4, 4), max_size=6)),
+        ),
+        max_size=12,
+    )
+)
+def test_set_overlaps_fuzz(rows):
+    from bern_ray.functions.dedup import _set_overlaps
+
+    ta = [sorted(a) if a is not None else None for a, _ in rows]
+    tb = [sorted(b) if b is not None else None for _, b in rows]
+    typ = pa.list_(pa.int64())
+    inter, na, nb = _set_overlaps(
+        pa.chunked_array([pa.array(ta, typ)]),
+        pa.chunked_array([pa.array(tb, typ)]),
+    )
+    want = _overlaps_loop(ta, tb)
+    assert [inter.tolist(), na.tolist(), nb.tolist()] == [list(w) for w in want]
+
+
+def _pandas_prelude(t: pa.Table, keys: list[str]) -> pa.Table:
+    """The pair kernels' former first step: pandas drop_duplicates, then
+    a stable sort, back to Arrow."""
+    g = t.to_pandas().drop_duplicates(keys)
+    g = g.sort_values(keys, kind="mergesort").reset_index(drop=True)
+    return pa.Table.from_pandas(g, schema=t.schema, preserve_index=False)
+
+
+def _band_bucket() -> pa.Table:
+    """Band rows with duplicate (band, doc) rows, ties, and one band of
+    six docs (over a cap of 3) holding a three-doc duplicate class."""
+    rows = [
+        ("b:zz", 5, 50), ("b:aa", 3, 30), ("b:zz", 1, 10),
+        ("b:aa", 3, 31),  # duplicate (band, doc): the first row stays
+        ("b:Ab", 2, 20), ("b:aa", 1, 10), ("b:Ab", 4, 40),
+        ("b:é", 7, 70), ("b:é", 6, 60),  # non-ASCII key
+    ]
+    # the oversized band: docs 20..22 share sig64 99, 23..25 differ
+    big = [("b:big", d, 99) for d in (22, 20, 21)] + [
+        ("b:big", 25, 250), ("b:big", 23, 230), ("b:big", 24, 240),
+        ("b:big", 20, 77),  # duplicate inside the oversized band
+    ]
+    rows = rows[:4] + big + rows[4:]
+    band, doc, sig = zip(*rows)
+    return pa.table(
+        {
+            "band": pa.array(band, pa.string()),
+            "doc_id": pa.array(doc, pa.int64()),
+            "sig64": pa.array(sig, pa.int64()),
+        }
+    )
+
+
+def _posting_bucket(with_side: bool) -> pa.Table:
+    rows = [
+        # tok, side, doc_id, nt, pos
+        (9, 0, 4, 10, 0), (-3, 1, 8, 10, 1), (9, 1, 5, 9, 0),
+        (9, 0, 4, 99, 5),  # duplicate (tok, side, doc): the first stays
+        (-3, 0, 2, 11, 0), (9, 0, 1, 10, 2), (-3, 1, 7, 10, 0),
+        (2**62, 0, 3, 12, 1), (-3, 0, 6, 10, 1), (9, 1, 5, 9, 0),
+        (9, 0, 5, 9, 0),  # same doc on both sides of token 9
+    ]
+    tok, side, doc, nt, pos = zip(*rows)
+    return pa.table(
+        {
+            "tok": pa.array(tok, pa.int64()),
+            "doc_id": pa.array(doc, pa.int64()),
+            "nt": pa.array(nt, pa.int64()),
+            ("side" if with_side else "pos"): pa.array(
+                side if with_side else pos, pa.int64()
+            ),
+        }
+    )
+
+
+def test_sorted_unique_matches_pandas_prelude():
+    from bern_ray.functions.dedup import _sorted_unique
+
+    for t, keys in (
+        (_band_bucket(), ["band", "doc_id"]),
+        (_posting_bucket(False), ["tok", "doc_id"]),
+        (_posting_bucket(True), ["tok", "side", "doc_id"]),
+    ):
+        assert _sorted_unique(t, keys).equals(_pandas_prelude(t, keys))
+        assert _sorted_unique(t.slice(0, 0), keys).num_rows == 0
+
+
+def test_pair_kernels_match_pandas_prelude():
+    """Each kernel gives the same table on the raw bucket as on the
+    bucket already deduplicated and sorted the former pandas way."""
+    from bern_ray.functions.dedup import (
+        _band_pairs_bucket,
+        _posting_pairs_abs_bucket,
+        _posting_pairs_bucket,
+        _posting_pairs_rs_bucket,
+        _simhash_pairs_bucket,
+    )
+
+    band = _band_bucket()
+    sim = band.rename_columns(["band", "doc_id", "sim"])
+    post = _posting_bucket(False)
+    rs = _posting_bucket(True)
+    cases = [
+        (_band_pairs_bucket(None), band, ["band", "doc_id"]),
+        (_band_pairs_bucket(3), band, ["band", "doc_id"]),
+        (_simhash_pairs_bucket(64), sim, ["band", "doc_id"]),
+        (_posting_pairs_bucket(0.8, None), post.drop(["pos"]), ["tok", "doc_id"]),
+        (_posting_pairs_bucket(0.8, None, True), post, ["tok", "doc_id"]),
+        (_posting_pairs_bucket(0.5, 2, True), post, ["tok", "doc_id"]),
+        (_posting_pairs_abs_bucket(10, None), post.drop(["pos"]), ["tok", "doc_id"]),
+        (_posting_pairs_rs_bucket(0.8, None), rs, ["tok", "side", "doc_id"]),
+        (_posting_pairs_rs_bucket(0.8, 1), rs, ["tok", "side", "doc_id"]),
+    ]
+    for kernel, t, keys in cases:
+        got = kernel(t)
+        assert got.equals(kernel(_pandas_prelude(t, keys)))
+    # the capped band kernel collapsed the duplicate class to a star
+    capped = _band_pairs_bucket(3)(band).to_pylist()
+    assert {"doc_id_a": 20, "doc_id_b": 21} in capped
+    assert {"doc_id_a": 20, "doc_id_b": 22} in capped
+    assert {"doc_id_a": 21, "doc_id_b": 22} not in capped
+    # the R-S token 9 pairs its side-0 docs with its side-1 doc
+    rs_pairs = _posting_pairs_rs_bucket(0.8, None)(rs).to_pylist()
+    assert {"doc_id_a": 4, "doc_id_b": 5} in rs_pairs
+    assert {"doc_id_a": 5, "doc_id_b": 5} in rs_pairs

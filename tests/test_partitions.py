@@ -166,3 +166,37 @@ def test_bucket_count_changes_no_linkage_output(linkage_inputs):
         assert t.equals(deduped[0])
     for t in clusters[1:]:
         assert t.equals(clusters[0])
+
+
+def test_bucket_count_changes_no_neardup_output(ray_session, monkeypatch):
+    """minhash (capped and not), setsim and the R-S setsim join give the
+    same rows with their planned count forced to one bucket, to the
+    count planned from the shingle table and to the old 128."""
+    import ray.data
+
+    from bern_ray.functions import dedup
+
+    docs = ray.data.read_parquet(SF + "/documents.parquet").materialize()
+    shingles = docs.map_batches(
+        lambda t: dedup._shingle_list_rows(t, 3), batch_format="pyarrow"
+    ).materialize()
+    planned = dedup._planned_buckets(shingles)
+    assert planned == 8  # 500 docs on the 4-CPU session: 2 x 4 blocks
+    assert dedup._planned_buckets(shingles, shingles) == 8
+
+    ops = {
+        "minhash": lambda: dedup.minhash_neardup(docs),
+        "minhash_capped": lambda: dedup.minhash_neardup(docs, band_cap=3),
+        "setsim": lambda: dedup.setsim_neardup(docs, 0.85),
+        "setsim_join": lambda: dedup.setsim_join(docs, docs, 0.7),
+    }
+    keys = ["doc_id_a", "doc_id_b"]
+    got: dict[str, list] = {name: [] for name in ops}
+    for n in (1, planned, 128):
+        monkeypatch.setattr(dedup, "_planned_buckets", lambda *_, n=n: n)
+        for name, op in ops.items():
+            got[name].append(_sorted_table(op(), keys))
+    for name, tables in got.items():
+        assert tables[0].num_rows > 0, name
+        for t in tables[1:]:
+            assert t.equals(tables[0]), name

@@ -80,3 +80,40 @@ def test_linkage_bucket_counts_are_planned():
         and isinstance(_bucket_count_arg(node), ast.Constant)
     ]
     assert literals == []
+
+
+# the near-dup operators that materialize a per-doc table first, and so
+# plan their bucket count from its row count
+PLANNED_DEDUP_OPERATORS = {
+    "minhash_neardup",
+    "setsim_neardup",
+    "setsim_join",
+    "setsim_overlap_join",
+    "setsim_containment_join",
+    "weighted_jaccard_neardup",
+    "icws_neardup",
+}
+
+
+def test_dedup_bucket_counts_are_planned():
+    """No ``bucketed_apply`` in a planned near-dup operator takes the
+    fixed ``_DEDUP_BUCKETS`` or a literal as its count."""
+    tree = ast.parse((PKG / "functions/dedup.py").read_text())
+    seen, fixed = set(), []
+    for top in tree.body:
+        if getattr(top, "name", None) not in PLANNED_DEDUP_OPERATORS:
+            continue
+        seen.add(top.name)
+        for node in ast.walk(top):
+            if not (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "bucketed_apply"
+            ):
+                continue
+            arg = _bucket_count_arg(node)
+            if arg is None or isinstance(arg, ast.Constant) or (
+                isinstance(arg, ast.Name) and arg.id == "_DEDUP_BUCKETS"
+            ):
+                fixed.append(top.name)
+    assert seen == PLANNED_DEDUP_OPERATORS
+    assert fixed == []
