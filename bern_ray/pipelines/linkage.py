@@ -6,7 +6,9 @@ pages (url, warc_ts, html, text, lang)
   -> block     : explode keys -> groupby(block_key) -> candidate pairs
                  (the ONE wide shuffle; salted + capped, SURVEY.md §7.4)
   -> score     : task map_batches, vectorized JW/Lev/cosine ensemble
-                 (or a trained pair model) -> edges above threshold
+                 (or a trained pair model) -> edges above threshold;
+                 the kernels run only on pairs whose ensemble bound
+                 (oid / fold agreement) can reach it
   -> cluster   : connected components (union-find stream / distributed
                  label propagation) -> cluster_id per mention
 
@@ -193,13 +195,19 @@ def score_pairs(
     ensemble with batched model inference. The scorer, and with it
     the model, is built once per worker process and call of this
     function. ``concurrency`` is unused; it stays in the signature
-    because callers (perfbench/layers.py among them) pass it."""
+    because callers (perfbench/layers.py among them) pass it.
+
+    ``emit`` is PairScorer's: "decoded" (every pair with its string
+    attrs), "edges" (every pair, four columns) or "edges_only" (the
+    edge rows of "edges"; the frozen ensemble then runs its kernels
+    only on pairs whose oid / fold agreement lets the score reach the
+    threshold)."""
     if normalized is None and vocab is None:
         pairs = pairs.map_batches(_key_to_block_key, batch_format="pyarrow")
     elif normalized is not None and "a_surface" not in pairs.schema().names:
         pairs = attach_pair_attrs(pairs, normalized, dedup=dedup_in_attach)
-    # emit="edges": lean edge-only output (stages/scoring.py), skips
-    # the measured-92% per-row decode for consumers that feed CC.
+    # emit="edges" / "edges_only": lean output (stages/scoring.py),
+    # skips the measured-92% per-row decode for consumers that feed CC.
     # Each task unpickles a fresh vocab and loader, so the instance key
     # is a token drawn here, once per call.
     return _task_map(
@@ -339,7 +347,8 @@ def incremental_linkage(
     use and read back on every later increment — the prior corpus is
     never re-shingled/re-minhashed (pytest-pinned via the untouched
     checkpoint manifest). Extraction, normalization and scoring — the
-    expensive stages — run on new data only. The checkpointed path
+    expensive stages — run on new data only, and the scorer emits
+    only the new edges (``emit="edges_only"``). The checkpointed path
     carries string attrs (codes would go stale as the vocab grows
     across increments); the in-memory path dictionary-encodes.
     ``concurrency`` is unused; callers still pass it.
@@ -384,7 +393,7 @@ def incremental_linkage(
             salt_threshold=salt_threshold,
             dedup=False,
         )
-        new_scored = score_pairs(pairs, None)
+        new_scored = score_pairs(pairs, None, emit="edges_only")
     else:
         vocab = build_attr_vocab(tagged)
         pairs = candidate_pairs(
@@ -394,7 +403,9 @@ def incremental_linkage(
             with_attrs=True,
             vocab=vocab,
         )
-        new_scored = score_pairs(pairs, None, vocab=vocab)
+        new_scored = score_pairs(
+            pairs, None, vocab=vocab, emit="edges_only"
+        )
     edges = prior_scored.map_batches(
         edges_only, batch_format="pyarrow"
     ).union(new_scored.map_batches(edges_only, batch_format="pyarrow"))
@@ -434,7 +445,7 @@ def linkage_pipeline(
     salt_threshold: int = DEFAULT_SALT_THRESHOLD,
     cc_mode: str = "auto",
     from_html: bool = False,
-    concurrency: int | tuple = (1, 8),
+    concurrency: int | tuple | None = None,
     scored_emit: str = "decoded",
     pair_model_path: str | None = None,
 ) -> "ray.data.Dataset":
@@ -446,16 +457,21 @@ def linkage_pipeline(
     evidenced model seam; clusters are pytest-pinned identical to the
     ensemble's on the fixture corpus.
 
-    ``scored_emit="edges"`` makes the scorer emit only
-    (a_mid, b_mid, score, is_edge) — the clustering path needs nothing
-    else, and the decoded-string output costs a measured 11x per batch
-    (stages/scoring.py). It applies to checkpointed runs, where the
-    scored_pairs checkpoint may itself be a consumed artifact (keep the
-    default "decoded" then); without a checkpoint_root nothing but the
-    edge filter reads the scored pairs, so they are always edges-only.
+    ``scored_emit="edges"`` makes the scorer emit every scored pair in
+    four columns (a_mid, b_mid, score, is_edge) — the clustering path
+    needs nothing else, and the decoded-string output costs a measured
+    11x per batch (stages/scoring.py). It applies to checkpointed runs,
+    where the scored_pairs checkpoint may itself be a consumed artifact
+    (keep the default "decoded" then). Without a checkpoint_root
+    nothing but the edge filter reads the scored pairs, so the scorer
+    emits ``"edges_only"``: the edge rows alone, with the similarity
+    kernels run only on pairs whose ensemble bound reaches the
+    threshold.
 
-    Every stage is a task map; ``concurrency`` sizes none of them and
-    is read only by ``check_pool_fits``.
+    Every stage is a task map; ``concurrency`` sizes none of them. When
+    a caller passes it, ``check_pool_fits`` still holds the session to
+    its minimum; the default (None) checks nothing, so a 1-CPU session
+    can run the pass.
 
     The bucketed shuffles on the pass (pair generation, the label
     join, contraction CC, cluster assignment) take the count
@@ -472,10 +488,11 @@ def linkage_pipeline(
     pinning, Ray's lazy re-execution would re-run extraction once per
     consumer.
     """
-    check_pool_fits(concurrency, session_cpus())
+    if concurrency is not None:
+        check_pool_fits(concurrency, session_cpus())
     buckets = pass_buckets(sf_dir)
     if checkpoint_root is None:
-        scored_emit = "edges"
+        scored_emit = "edges_only"
     pair_model_loader = None
     if pair_model_path is not None:
         from ..stages.scoring import load_pair_model
@@ -548,7 +565,7 @@ def linkage_pipeline(
         _score,
         checkpoint_root,
         lineage=["normalized"],
-        # scored_emit changes the artifact SCHEMA (edge-only vs decoded)
+        # scored_emit changes the artifact SCHEMA (four-column vs decoded)
         # — it must be part of the content key so flipping the flag
         # between runs invalidates the checkpoint instead of silently
         # reusing a wrong-schema parquet

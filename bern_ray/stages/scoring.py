@@ -20,12 +20,20 @@ the threshold (sim alone maxes at 0.2) — mirroring the reference,
 where linkage is decided by normalization identity while the neural
 score orders candidates (ops.py:232-476 keeps the higher-scored type
 rather than linking across types).
+
+The same 0.2 cap on sim decides which pairs are scored at all under
+``emit="edges_only"``: each pair's score is bounded by the ensemble
+itself with jw = lv = cos = 1 and fold_eq taken as true for every
+pair whose oids are both unresolved, and only pairs whose bound
+reaches the threshold go through the kernels. On linkage inputs most
+candidate pairs share a block but no oid, so most never reach them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..core.fold import tmchem_key
 from ..core.similarity import (
@@ -41,6 +49,11 @@ MODEL_EDGE_THRESHOLD = 0.5
 
 # similarity feature vector fed to a trained pair model, in order
 PAIR_FEATURES = ("jw", "lev", "cos", "same_oid", "fold_eq")
+
+# emit="edges_only" prunes a pair only when its score bound is below
+# the threshold by more than this: the float32 cosine of two equal
+# unit vectors can exceed 1 by a few ulps
+_BOUND_SLACK = 1e-6
 
 
 class LogisticPairModel:
@@ -105,6 +118,16 @@ class PairScorer:
     batched-inference plumbing is identical. The default model is the deterministic
     hashed-n-gram embedder (reference analog: run_ner.py:361-589
     loads the TF estimator once per process and serves batches).
+
+    ``emit`` picks the output: "decoded" (every pair with its string
+    attrs), "edges" (every pair as a_mid, b_mid, score, is_edge) or
+    "edges_only" (the is_edge rows of "edges", same scores). Under
+    "edges_only" the frozen ensemble's 0.2 cap on sim also decides
+    which pairs are scored: a pair whose bound (``_final_score`` with
+    every kernel at 1) is below the threshold never reaches the
+    kernels. A pair model or a custom ``model_loader`` embedder has no
+    such bound, so those scorers score every pair and then keep the
+    edges.
     """
 
     def __init__(
@@ -115,8 +138,10 @@ class PairScorer:
         emit: str = "decoded",
         pair_model_loader=None,
     ):
-        if emit not in ("decoded", "edges"):
-            raise ValueError(f"emit={emit!r}: 'decoded' or 'edges'")
+        if emit not in ("decoded", "edges", "edges_only"):
+            raise ValueError(
+                f"emit={emit!r}: 'decoded', 'edges' or 'edges_only'"
+            )
         # trained pair model (e.g. LogisticPairModel): loaded ONCE per
         # instance; scores PAIR_FEATURES instead of the fixed ensemble
         self.pair_model = (
@@ -142,6 +167,9 @@ class PairScorer:
         self.embed = (
             ngram_hash_vectors if model_loader is None else model_loader()
         )
+        # the ensemble over unit-norm embeddings has every kernel in
+        # [0, 1]; a pair model or a custom embedder is unbounded
+        self.bounded = self.pair_model is None and model_loader is None
         # de-stringified hot path: pairs arrive as int32 codes
         # (a_sc/b_sc/a_oc/b_oc) and the vocab arrays are fetched from
         # the broadcast store ONCE per instance — never per batch
@@ -178,30 +206,60 @@ class PairScorer:
         base = np.where(same_oid, 1.0, np.where(fold_eq, 0.9, 0.0))
         return 0.8 * base + 0.2 * sim
 
+    def _prune(self, batch: pa.Table, same_oid, both_miss):
+        """Under emit="edges_only", drop the pairs whose score cannot
+        reach the threshold: the bound is ``_final_score`` with every
+        kernel at 1 and fold_eq true wherever both oids are unresolved.
+        Other modes, and scorers with no bound, keep every pair."""
+        if self.emit != "edges_only" or not self.bounded:
+            return batch, same_oid, both_miss
+        one = np.ones(1)
+        bound = self._final_score(
+            one, one, one, np.zeros(len(same_oid), dtype=np.intp),
+            same_oid, both_miss,
+        )
+        keep = bound >= self.threshold - _BOUND_SLACK
+        return batch.filter(keep), same_oid[keep], both_miss[keep]
+
+    def _edges(self, batch: pa.Table, score: np.ndarray) -> pa.Table:
+        """(a_mid, b_mid, score, is_edge) rows; the edge rows only
+        under emit="edges_only"."""
+        return self._keep_edges(
+            pa.table(
+                {
+                    "a_mid": batch["a_mid"],
+                    "b_mid": batch["b_mid"],
+                    "score": pa.array(score, type=pa.float64()),
+                    "is_edge": pa.array(
+                        score >= self.threshold, type=pa.bool_()
+                    ),
+                }
+            )
+        )
+
+    def _keep_edges(self, t: pa.Table) -> pa.Table:
+        return t.filter(t["is_edge"]) if self.emit == "edges_only" else t
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         if "a_sc" in batch.schema.names:
             return self._score_codes(batch)
+        lean = self.emit != "decoded" and "a_mid" in batch.schema.names
+        a_oid = batch["a_oid"].cast(pa.string())
+        b_oid = batch["b_oid"].cast(pa.string())
+        same_oid = pc.fill_null(pc.equal(a_oid, b_oid), False).to_numpy()
+        both_miss = pc.and_(pc.is_null(a_oid), pc.is_null(b_oid)).to_numpy()
+        batch, same_oid, both_miss = self._prune(batch, same_oid, both_miss)
         n = batch.num_rows
         if n == 0:
-            if self.emit == "edges" and "a_mid" in batch.schema.names:
-                # mirror the non-empty edges branch — an empty batch
-                # must not inject the full decoded schema into an
-                # otherwise 4-column edge dataset
-                return pa.table(
-                    {
-                        "a_mid": batch["a_mid"],
-                        "b_mid": batch["b_mid"],
-                        "score": pa.array([], type=pa.float64()),
-                        "is_edge": pa.array([], type=pa.bool_()),
-                    }
-                )
+            if lean:
+                # an empty batch must not inject the full decoded
+                # schema into an otherwise 4-column edge dataset
+                return self._edges(batch, np.zeros(0))
             return batch.append_column(
                 "score", pa.array([], type=pa.float64())
             ).append_column("is_edge", pa.array([], type=pa.bool_()))
         a = batch["a_surface"].to_numpy(zero_copy_only=False)
         b = batch["b_surface"].to_numpy(zero_copy_only=False)
-        a_oid = batch["a_oid"].to_pylist()
-        b_oid = batch["b_oid"].to_pylist()
         # candidate batches repeat the same surface pairs heavily
         # (aliases recur corpus-wide): factorize to UNIQUE surfaces and
         # UNIQUE (a, b) pairs, run every kernel once per unique pair,
@@ -219,16 +277,6 @@ class PairScorer:
         lv = levenshtein_sim(sa, sb)
         E = self.embed(uniq_s.tolist())
         cos = cosine_pairs(E[upa], E[upb])
-        same_oid = np.fromiter(
-            (x is not None and x == y for x, y in zip(a_oid, b_oid)),
-            dtype=bool,
-            count=n,
-        )
-        both_miss = np.fromiter(
-            (x is None and y is None for x, y in zip(a_oid, b_oid)),
-            dtype=bool,
-            count=n,
-        )
         if both_miss.any():
             folds = np.asarray(
                 tmchem_key(pa.array(uniq_s.tolist())).to_pylist(), dtype=object
@@ -237,21 +285,14 @@ class PairScorer:
         else:
             fold_eq = np.zeros(n, dtype=bool)
         score = self._final_score(jw, lv, cos, pair_inv, same_oid, fold_eq)
-        if self.emit == "edges" and "a_mid" in batch.schema.names:
-            return pa.table(
-                {
-                    "a_mid": batch["a_mid"],
-                    "b_mid": batch["b_mid"],
-                    "score": pa.array(score, type=pa.float64()),
-                    "is_edge": pa.array(
-                        score >= self.threshold, type=pa.bool_()
-                    ),
-                }
+        if lean:
+            return self._edges(batch, score)
+        return self._keep_edges(
+            batch.append_column(
+                "score", pa.array(score, type=pa.float64())
+            ).append_column(
+                "is_edge", pa.array(score >= self.threshold, type=pa.bool_())
             )
-        return batch.append_column(
-            "score", pa.array(score, type=pa.float64())
-        ).append_column(
-            "is_edge", pa.array(score >= self.threshold, type=pa.bool_())
         )
 
     def _score_codes(self, batch: pa.Table) -> pa.Table:
@@ -267,6 +308,11 @@ class PairScorer:
             raise ValueError(
                 "code-carrying pairs require score_pairs(..., vocab=...)"
             )
+        a_oc = batch["a_oc"].to_numpy(zero_copy_only=False)
+        b_oc = batch["b_oc"].to_numpy(zero_copy_only=False)
+        same_oid = (a_oc == b_oc) & (a_oc >= 0)
+        both_miss = (a_oc < 0) & (b_oc < 0)
+        batch, same_oid, both_miss = self._prune(batch, same_oid, both_miss)
         n = batch.num_rows
         if n == 0:
             empty = {
@@ -292,8 +338,6 @@ class PairScorer:
             return pa.table(empty)
         a_sc = batch["a_sc"].to_numpy(zero_copy_only=False).astype(np.int64)
         b_sc = batch["b_sc"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a_oc = batch["a_oc"].to_numpy(zero_copy_only=False)
-        b_oc = batch["b_oc"].to_numpy(zero_copy_only=False)
         uniq_c, inv = np.unique(
             np.concatenate([a_sc, b_sc]), return_inverse=True
         )
@@ -310,8 +354,6 @@ class PairScorer:
         lv = levenshtein_sim(sa, sb)
         E = self.embed(uniq_s.tolist())
         cos = cosine_pairs(E[upa], E[upb])
-        same_oid = (a_oc == b_oc) & (a_oc >= 0)
-        both_miss = (a_oc < 0) & (b_oc < 0)
         if both_miss.any():
             folds = np.asarray(
                 tmchem_key(pa.array(uniq_s.tolist())).to_pylist(),
@@ -321,17 +363,8 @@ class PairScorer:
         else:
             fold_eq = np.zeros(n, dtype=bool)
         score = self._final_score(jw, lv, cos, pair_inv, same_oid, fold_eq)
-        if self.emit == "edges":
-            return pa.table(
-                {
-                    "a_mid": batch["a_mid"],
-                    "b_mid": batch["b_mid"],
-                    "score": pa.array(score, type=pa.float64()),
-                    "is_edge": pa.array(
-                        score >= self.threshold, type=pa.bool_()
-                    ),
-                }
-            )
+        if self.emit != "decoded":
+            return self._edges(batch, score)
 
         def dec_oid(c: np.ndarray) -> np.ndarray:
             if len(vo) == 0:

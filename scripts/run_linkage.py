@@ -47,17 +47,20 @@ def main() -> None:
                     help="extract text from the html column (byte-identical rule)")
     ap.add_argument("--partition-by", default="etype",
                     help="hive-partition column for the clusters sink")
-    ap.add_argument("--max-actors", type=int, default=16,
-                    help="kept for existing job specs; no effect (every "
-                         "linkage stage is a task map, none starts an "
-                         "actor pool)")
+    ap.add_argument("--max-actors", type=int, default=None,
+                    help="kept for existing job specs; sizes nothing "
+                         "(every linkage stage is a task map, none starts "
+                         "an actor pool); when given, the session must "
+                         "have at least 2 CPUs")
     ap.add_argument("--lean-scored", action="store_true",
                     help="with --checkpoint: the scored_pairs checkpoint "
-                         "holds edges only (a_mid, b_mid, score, is_edge) "
-                         "— skips the measured-92%% per-row attr decode; "
-                         "use when it is not itself a consumed artifact "
-                         "(without --checkpoint scoring is always "
-                         "edges-only)")
+                         "holds every scored pair in four columns (a_mid, "
+                         "b_mid, score, is_edge) instead of the decoded "
+                         "attrs — skips the measured-92%% per-row attr "
+                         "decode; use when it is not itself a consumed "
+                         "artifact (without --checkpoint the scorer emits "
+                         "the edge rows only, and runs its kernels only "
+                         "on pairs that can become edges)")
     ap.add_argument("--pair-model", default=None, metavar="NPZ",
                     help="path to a trained logistic pair-model "
                          "checkpoint (scripts/train_pair_model.py); "
@@ -95,7 +98,7 @@ def main() -> None:
         ),
         cc_mode=args.cc_mode,
         from_html=args.from_html,
-        concurrency=(1, args.max_actors),
+        concurrency=None if args.max_actors is None else (1, args.max_actors),
         scored_emit="edges" if args.lean_scored else "decoded",
         pair_model_path=args.pair_model,
     )

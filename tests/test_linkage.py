@@ -329,6 +329,62 @@ def test_pipeline_passes_planned_buckets(monkeypatch):
     assert seen == {"candidate_pairs": 6, "cluster_mentions": 6}
 
 
+def _stub_pass(monkeypatch, cpus: int, vocab):
+    """linkage_pipeline over stub datasets (checkpoints built in place);
+    returns the module and the ``emit`` of each score_pairs call."""
+    from bern_ray.pipelines import linkage
+
+    emits = []
+
+    def score_pairs(pairs, normalized, **kwargs):
+        emits.append(kwargs["emit"])
+        return pairs
+
+    monkeypatch.setattr(linkage, "session_cpus", lambda: cpus)
+    monkeypatch.setattr(linkage, "read_pages", lambda sf: _RecordingDataset())
+    monkeypatch.setattr(
+        linkage, "extract_normalize_mentions", lambda p, **kw: p
+    )
+    monkeypatch.setattr(linkage, "build_attr_vocab", lambda ds: vocab)
+    monkeypatch.setattr(
+        linkage, "candidate_pairs", lambda m, **kw: _RecordingDataset()
+    )
+    monkeypatch.setattr(linkage, "score_pairs", score_pairs)
+    monkeypatch.setattr(
+        linkage, "cluster_mentions", lambda n, e, **kw: _RecordingDataset()
+    )
+    monkeypatch.setattr(
+        linkage, "checkpointed", lambda name, build, root, **kw: build()
+    )
+    return linkage, emits
+
+
+@pytest.mark.parametrize("vocab", [object(), None], ids=["codes", "strings"])
+def test_pass_without_checkpoint_scores_edges_only(monkeypatch, vocab):
+    linkage, emits = _stub_pass(monkeypatch, 3, vocab)
+    linkage.linkage_pipeline(SF, concurrency=(1, 2))
+    assert emits == ["edges_only"]
+
+
+@pytest.mark.parametrize("scored_emit", ["decoded", "edges"])
+def test_checkpointed_pass_scores_every_pair(monkeypatch, tmp_path, scored_emit):
+    linkage, emits = _stub_pass(monkeypatch, 3, object())
+    linkage.linkage_pipeline(
+        SF, checkpoint_root=str(tmp_path), scored_emit=scored_emit
+    )
+    assert emits == [scored_emit]
+
+
+def test_one_cpu_session_plans_a_pass(monkeypatch):
+    """No stage needs a CPU of its own, so the default pass does not
+    ask for one; a stated minimum is still checked."""
+    linkage, emits = _stub_pass(monkeypatch, 1, object())
+    linkage.linkage_pipeline(SF)
+    assert emits == ["edges_only"]
+    with pytest.raises(ValueError, match="at least 2 CPUs.*has 1"):
+        linkage.linkage_pipeline(SF, concurrency=(1, 8))
+
+
 def test_process_instance_is_one_per_class_and_key(monkeypatch):
     from bern_ray.pipelines import linkage
 
