@@ -23,9 +23,17 @@ Output schema (expected_clusters shape, FIXTURES.md §4):
   cluster_id
 
 Every stage is expressible through `checkpointed(...)` for
-resume-by-existence (state/checkpoint.py). No stage materializes the
-full dataset on the driver except the CC label map (documented in
-stages/cc.py with the distributed alternative).
+resume-by-existence (state/checkpoint.py).
+
+Without a checkpoint, the mentions, the exploded block keys and the
+edges are materialized, and each of the three stages that reduce them
+(vocabulary, hot-key census, cluster assignment) pulls its columns to
+the driver and runs there with no Ray Data execution while the input
+is within stages/partitions.py's ``DRIVER_BYTES``; above the bound, or
+on a lazy (checkpointed) input, it runs as Dataset ops and the labels
+never funnel through the driver in 'lp' mode. So a small pass runs
+three executions: mentions, the pair-gen shuffle fused with scoring,
+and nothing else.
 """
 
 from __future__ import annotations
@@ -51,7 +59,12 @@ from ..stages.blocking import (
 from ..stages.bucketed import bucketed_apply, segments
 from ..stages.extract import MentionExtractor
 from ..stages.normalize import MentionNormalizer
-from ..stages.partitions import plan_buckets, session_cpus, source_rows
+from ..stages.partitions import (
+    driver_table,
+    plan_buckets,
+    session_cpus,
+    source_rows,
+)
 from ..stages.scoring import PairScorer, edges_only
 from ..state.checkpoint import checkpointed, source_digest
 
@@ -280,19 +293,48 @@ def cluster_mentions(
     num_buckets: int = CLUSTER_BUCKETS,
 ) -> "ray.data.Dataset":
     """Attach cluster_id via CC labels + per-component id assignment.
+    ``edges`` carries ``src`` / ``dst``; singleton mentions (no edge,
+    no label) root to themselves.
 
-    Labels stay a Dataset end-to-end: a bucketed hash join on
-    mention_id=node attaches them (stages/join.py), so nothing funnels
-    through the driver in 'lp' mode — singleton mentions (no edge, no
-    label row) null-fill and root to themselves.
+    Driver arm: outside 'lp' mode, when both inputs are materialized
+    and within ``partitions.DRIVER_BYTES``, CC (``_cc_arrays``), the
+    root lookup (a ``searchsorted`` of each mention into the CC nodes)
+    and ``_assign_clusters_bucket`` run on the driver over the whole
+    table, with no Ray Data execution; the result is one block.
 
-    ``num_buckets`` sizes the cluster assignment; the label join and
-    contraction CC take it too, capped at their own defaults (64). The
-    clusters are the same at any count: ids are per root, and a root's
-    rows share one bucket.
+    Dataset arm: labels stay a Dataset end-to-end: a bucketed hash
+    join on mention_id=node attaches them (stages/join.py), so nothing
+    funnels through the driver in 'lp' mode.
+
+    ``num_buckets`` sizes the dataset arm's cluster assignment; the
+    label join and contraction CC take it too, capped at their own
+    defaults (64). The clusters are the same in either arm and at any
+    count: ids are per root, and a root's rows share one bucket.
     """
-    from ..stages.cc import CONTRACT_BUCKETS, components_labels
+    from ..stages.cc import CONTRACT_BUCKETS, _cc_arrays, components_labels
     from ..stages.join import DEFAULT_NUM_BUCKETS, bucket_join
+
+    held = held_edges = None
+    if cc_mode != "lp":
+        held_edges = driver_table(edges, ["src", "dst"])
+    if held_edges is not None:
+        held = driver_table(normalized, list(_MENTION_SCHEMA))
+    if held is not None:
+        nodes, roots = _cc_arrays(
+            held_edges["src"].to_numpy(), held_edges["dst"].to_numpy()
+        )
+        mids = held["mention_id"].to_numpy()
+        root = mids
+        if len(nodes):
+            pos = np.minimum(np.searchsorted(nodes, mids), len(nodes) - 1)
+            root = np.where(nodes[pos] == mids, roots[pos], mids)
+        return ray.data.from_arrow(
+            _assign_clusters_bucket(
+                held.cast(pa.schema(_MENTION_SCHEMA)).append_column(
+                    "root", pa.array(root, type=pa.int64())
+                )
+            )
+        )
 
     labels = components_labels(
         edges, mode=cc_mode, num_buckets=min(num_buckets, CONTRACT_BUCKETS)
@@ -406,9 +448,12 @@ def incremental_linkage(
         new_scored = score_pairs(
             pairs, None, vocab=vocab, emit="edges_only"
         )
-    edges = prior_scored.map_batches(
-        edges_only, batch_format="pyarrow"
-    ).union(new_scored.map_batches(edges_only, batch_format="pyarrow"))
+    # materialized, so a small increment clusters on the driver
+    edges = (
+        prior_scored.map_batches(edges_only, batch_format="pyarrow")
+        .union(new_scored.map_batches(edges_only, batch_format="pyarrow"))
+        .materialize()
+    )
     return cluster_mentions(tagged, edges)
 
 
@@ -480,13 +525,17 @@ def linkage_pipeline(
     count changes no output, so it is not part of any checkpoint key.
 
     `normalized` and `scored_pairs` are each consumed by MULTIPLE
-    downstream stages (hot-key count + pair-gen + cluster attach;
-    edge filter + metrics), so they are pinned — to Parquet when a
-    checkpoint_root is given (the scale path: resumable, spillable),
-    else to the object store with ``materialize()`` (mentions/pairs
-    are orders of magnitude smaller than the pages input). Without
-    pinning, Ray's lazy re-execution would re-run extraction once per
-    consumer.
+    downstream stages (vocab + pair-gen + cluster attach; edge filter
+    + metrics), so they are pinned — to Parquet when a checkpoint_root
+    is given (the scale path: resumable, spillable), else to the
+    object store with ``materialize()`` (mentions and edges are orders
+    of magnitude smaller than the pages input; without a checkpoint
+    the edge projection is what gets materialized, inside the scoring
+    execution). Without pinning, Ray's lazy re-execution would re-run
+    extraction once per consumer. The materialized inputs within
+    ``partitions.DRIVER_BYTES`` take the driver arms of the vocab,
+    census and cluster stages; checkpointed ones are read back lazily
+    and take the dataset arms.
     """
     if concurrency is not None:
         check_pool_fits(concurrency, session_cpus())
@@ -576,9 +625,11 @@ def linkage_pipeline(
             "scored_emit": scored_emit,
         },
     )
-    if checkpoint_root is None:
-        scored = scored.materialize()
     edges = scored.map_batches(edges_only, batch_format="pyarrow")
+    if checkpoint_root is None:
+        # the projection runs inside the scoring execution; the held
+        # edges then feed the driver arm of cluster_mentions
+        edges = edges.materialize()
     clusters = checkpointed(
         "clusters",
         lambda: cluster_mentions(

@@ -20,9 +20,11 @@ Skew handling (north_rule requirement):
 - per-block pair cap: blocks up to MAX_ALLPAIRS emit all pairs;
   larger blocks emit a linear star+chain spanning topology (connected
   components only needs connectivity, not the quadratic pair set).
-- hot-key salting: block sizes are pre-counted with a partial
-  (in-batch) count -> tiny groupby; keys above `salt_threshold` are
-  split into `ceil(n/salt_threshold)` salted sub-blocks (int mix), and
+- hot-key salting: block sizes are pre-counted on a mention sample
+  (one value_counts on the driver below stages/partitions.py's
+  DRIVER_BYTES, else an in-batch partial count -> tiny groupby); keys
+  above `salt_threshold` are split into `ceil(n/salt_threshold)`
+  salted sub-blocks (int mix), and
   sub-block pivots are linked by a second, tiny pass over pivot rows
   grouped by the carried base key, so connectivity across salts is
   preserved.
@@ -48,6 +50,7 @@ from ..core.fold import tmchem_key
 from ..core.minhash import _splitmix64, char_shingles, minhash_signatures
 from .broadcast import get_broadcast
 from .bucketed import bucketed_apply
+from .partitions import driver_table
 
 LSH_BANDS = 4  # detection prob at j=0.7: 1-(1-0.7^2)^4 ~= 0.93
 LSH_ROWS = 2
@@ -114,14 +117,15 @@ def build_attr_vocab(
 ) -> AttrVocab | None:
     """Distinct surfaces/oids -> sorted vocab arrays, broadcast once.
 
-    Distributed distinct: per-batch ``pc.unique`` partial (so the
-    shuffle sees vocab-bounded rows, not one per mention) then a
-    Dataset-level unique. Both columns ride ONE pass / ONE unique
-    barrier: values are tagged with a column-id prefix byte ('s\\x00' /
-    'o\\x00') and split back on the driver — two sequential uniques
-    measured ~2x the fixed cost at bench scale. Returns None above
-    ``max_size`` — the signal to take the two-join attach instead."""
-    import pyarrow.compute as pc
+    Values are tagged with a column-id prefix byte ('s\\x00' /
+    'o\\x00') so both columns share one distinct, and split back on
+    the driver. A materialized ``mentions`` within
+    ``partitions.DRIVER_BYTES`` takes its distinct on the driver (no
+    Ray Data execution); otherwise a per-batch ``pc.unique`` partial
+    (so the shuffle sees vocab-bounded rows, not one per mention) feeds
+    ONE Dataset-level unique — two sequential uniques measured ~2x the
+    fixed cost at bench scale. Returns None above ``max_size`` — the
+    signal to take the two-join attach instead."""
 
     def tag_uniques(t: pa.Table) -> pa.Table:
         parts = []
@@ -133,12 +137,17 @@ def build_attr_vocab(
             return pa.table({"v": pa.array([], type=pa.string())})
         return pa.table({"v": pa.concat_arrays(parts)})
 
-    vals = np.asarray(
-        mentions.map_batches(tag_uniques, batch_format="pyarrow").unique(
-            "v"
-        ),
-        dtype=object,
-    )
+    held = driver_table(mentions, ["surface", "oid"])
+    if held is not None:
+        # per-column uniques over the whole table: already distinct
+        vals = tag_uniques(held)["v"].to_numpy()
+    else:
+        vals = np.asarray(
+            mentions.map_batches(
+                tag_uniques, batch_format="pyarrow"
+            ).unique("v"),
+            dtype=object,
+        )
     is_surf = np.array([v[0] == "s" for v in vals], dtype=bool)
     stripped = np.array([v[2:] for v in vals], dtype=object)
     surfaces = np.sort(stripped[is_surf])
@@ -485,8 +494,11 @@ def hot_keys(
     with counts ESTIMATED from a deterministic mention_id-hash sample
     (scaled back up; exact when sample_shift=0).
 
-    Pre-aggregates counts inside map_batches (partial combine) so the
-    groupby shuffles one row per (batch, key) — not one per mention.
+    A materialized ``exploded`` within ``partitions.DRIVER_BYTES`` is
+    counted on the driver in one ``value_counts`` (no Ray Data
+    execution). Otherwise counts pre-aggregate inside map_batches
+    (partial combine) so the groupby shuffles one row per (batch, key)
+    — not one per mention.
     """
     mask = np.uint64((1 << sample_shift) - 1)
 
@@ -503,12 +515,22 @@ def hot_keys(
             {"key": vc.field("values"), "partial": vc.field("counts")}
         )
 
+    scaled_thr = max(threshold >> sample_shift, 1)
+    held = driver_table(exploded, ["key", "mention_id"])
+    if held is not None:
+        counts = partial_counts(held)
+        hot = counts.filter(pc.greater(counts["partial"], scaled_thr))
+        return dict(
+            zip(
+                hot["key"].to_pylist(),
+                (hot["partial"].to_numpy() << sample_shift).tolist(),
+            )
+        )
     counts = (
         exploded.map_batches(partial_counts, batch_format="pyarrow")
         .groupby("key")
         .sum("partial")
     )
-    scaled_thr = max(threshold >> sample_shift, 1)
     hot = counts.map_batches(
         lambda t: t.filter(
             pa.compute.greater(t["sum(partial)"], scaled_thr)

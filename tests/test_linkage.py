@@ -442,3 +442,98 @@ def test_assign_clusters_bucket_min_oid_else_fold_key():
         "BERN:O:3",
         "SURF:zeta",
     ]
+
+
+_VOCAB = ("surface", "oid")
+_CENSUS = ("key", "mention_id")
+_EDGES = ("src", "dst")
+_MENTIONS = (
+    "url",
+    "mention_id",
+    "etype",
+    "start",
+    "end",
+    "surface",
+    "oid",
+    "ids",
+    "fold_key",
+)
+
+
+@pytest.mark.parametrize(
+    "case, want_arms, want_joins",
+    [
+        (
+            "default",
+            [(_VOCAB, True), (_CENSUS, True), (_EDGES, True), (_MENTIONS, True)],
+            [],
+        ),
+        ("lp", [(_VOCAB, True), (_CENSUS, True)], ["mention_id"]),
+        (
+            "checkpoint",
+            [(_VOCAB, False), (_CENSUS, True), (_EDGES, False)],
+            ["mention_id"],
+        ),
+    ],
+)
+def test_pass_arms(ray_session, monkeypatch, tmp_path, case, want_arms, want_joins):
+    """A small un-checkpointed pass takes every driver arm; 'lp' mode
+    keeps the label join; a checkpointed pass reads the mentions and the
+    scored pairs back lazily, so its vocabulary and clusters take the
+    dataset arms (the census still holds the exploded keys that pair
+    generation materializes)."""
+    from bern_ray.pipelines import linkage
+    from bern_ray.stages import blocking, join, partitions
+
+    # each driver_table call as (columns, taken), each label join's key
+    arms, joins = [], []
+    real_join = join.bucket_join
+
+    def driver_table(ds, columns):
+        t = partitions.driver_table(ds, columns)
+        arms.append((tuple(columns), t is not None))
+        return t
+
+    def bucket_join(*args, **kwargs):
+        joins.append(kwargs["left_on"])
+        return real_join(*args, **kwargs)
+
+    monkeypatch.setattr(blocking, "driver_table", driver_table)
+    monkeypatch.setattr(linkage, "driver_table", driver_table)
+    monkeypatch.setattr(join, "bucket_join", bucket_join)
+    kwargs = {
+        "default": {},
+        "lp": {"cc_mode": "lp"},
+        "checkpoint": {"checkpoint_root": str(tmp_path)},
+    }[case]
+    assert linkage.linkage_pipeline(SF, **kwargs).count() > 0
+    assert arms == want_arms
+    assert joins == want_joins
+
+
+def test_salted_pass_is_the_same_in_both_arms(ray_session, monkeypatch):
+    """With every driver arm and with none, a pass whose census salts
+    hot keys gives the same clusters."""
+    from bern_ray.pipelines.linkage import linkage_pipeline
+    from bern_ray.stages import blocking, partitions
+
+    census = []
+    real_hot_keys = blocking.hot_keys
+
+    def hot_keys(*args, **kwargs):
+        census.append(real_hot_keys(*args, **kwargs))
+        return census[-1]
+
+    monkeypatch.setattr(blocking, "hot_keys", hot_keys)
+    got = []
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(partitions, "DRIVER_BYTES", bound)
+        df = linkage_pipeline(SF, salt_threshold=20).to_pandas()
+        got.append(
+            df[["mention_id", "cluster_id"]]
+            .sort_values("mention_id")
+            .reset_index(drop=True)
+        )
+    assert len(census) == 2 and census[0] and census[0] == census[1]
+    assert len(got[0]) > 0
+    assert got[0].equals(got[1])

@@ -200,3 +200,195 @@ def test_bucket_count_changes_no_neardup_output(ray_session, monkeypatch):
         assert tables[0].num_rows > 0, name
         for t in tables[1:]:
             assert t.equals(tables[0]), name
+
+
+# ------------------------------------------------------- driver tables
+
+
+def _two_blocks():
+    import ray.data
+
+    t = pa.table(
+        {
+            "a": pa.array([1, 2, 3], pa.int64()),
+            "b": ["x", "y", "z"],
+            "c": [0.5, 1.5, 2.5],
+        }
+    )
+    return t, ray.data.from_arrow([t.slice(0, 2), t.slice(2)])
+
+
+def test_driver_table_returns_requested_columns(ray_session):
+    from bern_ray.stages.partitions import driver_table
+
+    t, ds = _two_blocks()
+    got = driver_table(ds, ["c", "a"])
+    assert got.column_names == ["c", "a"]
+    assert got.combine_chunks().equals(t.select(["c", "a"]))
+
+
+def test_driver_table_declines_a_lazy_dataset(ray_session):
+    import ray.data
+
+    from bern_ray.stages.partitions import driver_table
+
+    _, ds = _two_blocks()
+    assert driver_table(ds.map_batches(lambda b: b), ["a"]) is None
+    assert driver_table(ray.data.range(10), ["id"]) is None
+
+
+def test_driver_table_bound_is_inclusive(ray_session, monkeypatch):
+    """The bound is faked, not the data: at the dataset's own size the
+    table comes back, one byte below it the caller gets None."""
+    from bern_ray.stages import partitions
+
+    _, ds = _two_blocks()
+    size = ds.size_bytes()
+    assert size > 0
+    monkeypatch.setattr(partitions, "DRIVER_BYTES", size)
+    assert partitions.driver_table(ds, ["a"]).num_rows == 3
+    monkeypatch.setattr(partitions, "DRIVER_BYTES", size - 1)
+    assert partitions.driver_table(ds, ["a"]) is None
+
+
+def test_driver_table_declines_an_unknown_size(ray_session, monkeypatch):
+    from bern_ray.stages.partitions import driver_table
+
+    _, ds = _two_blocks()
+    monkeypatch.setattr(ds, "size_bytes", lambda: None)
+    assert driver_table(ds, ["a"]) is None
+
+
+def test_driver_table_skips_zero_row_blocks(ray_session):
+    import ray.data
+
+    from bern_ray.stages.partitions import driver_table
+
+    t, _ = _two_blocks()
+    ds = ray.data.from_arrow([t.slice(0, 0), t.slice(0, 2), t.slice(2)])
+    assert ds.num_blocks() == 3
+    got = driver_table(ds, ["a", "b"])
+    assert got.combine_chunks().equals(t.select(["a", "b"]))
+    empty = driver_table(ray.data.from_arrow(t.slice(0, 0)), ["b"])
+    assert empty.num_rows == 0
+    assert empty.schema == pa.schema([("b", pa.string())])
+
+
+@pytest.fixture(scope="module")
+def exploded(linkage_inputs):
+    from bern_ray.stages.blocking import explode_block_keys
+
+    normalized, _ = linkage_inputs
+    return normalized.map_batches(
+        explode_block_keys, batch_format="pyarrow"
+    ).materialize()
+
+
+def test_both_vocab_arms_build_one_vocab(linkage_inputs, monkeypatch):
+    from bern_ray.stages import partitions
+    from bern_ray.stages.blocking import build_attr_vocab
+
+    normalized, _ = linkage_inputs
+    arrays = []
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(partitions, "DRIVER_BYTES", bound)
+        arrays.append(build_attr_vocab(normalized).arrays())
+    (s0, o0), (s1, o1) = arrays
+    assert len(s0) > 0 and len(o0) > 0
+    assert s0.tolist() == s1.tolist()
+    assert o0.tolist() == o1.tolist()
+    # the same bound check on both arms
+    assert build_attr_vocab(normalized, max_size=len(s0) - 1) is None
+
+
+@pytest.mark.parametrize(
+    "threshold, shift", [(5_000, 4), (20, 4), (20, 0)]
+)
+def test_both_census_arms_find_the_same_hot_keys(
+    exploded, monkeypatch, threshold, shift
+):
+    from bern_ray.stages import partitions
+    from bern_ray.stages.blocking import hot_keys
+
+    found = []
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(partitions, "DRIVER_BYTES", bound)
+        found.append(hot_keys(exploded, threshold, sample_shift=shift))
+    assert found[0] == found[1]
+    # the default threshold finds nothing at this size; 20 does
+    assert bool(found[0]) == (threshold == 20)
+
+
+def _edge_table(src, dst):
+    return pa.table(
+        {
+            "src": pa.array(src, pa.int64()),
+            "dst": pa.array(dst, pa.int64()),
+            "score": pa.array([1.0] * len(src), pa.float64()),
+        }
+    )
+
+
+def _hand_built_mentions():
+    """Six mentions: an unresolved two-mention component (SURF:), a
+    mixed one whose resolved oid wins, a self-loop and a resolved
+    singleton; one edge reaches a node that is no mention."""
+    from bern_ray.pipelines.linkage import _MENTION_SCHEMA
+
+    n = 6
+    mentions = pa.table(
+        {
+            "url": [f"u{i}" for i in range(n)],
+            "mention_id": list(range(10, 10 + n)),
+            "etype": ["gene"] * n,
+            "start": list(range(n)),
+            "end": list(range(1, n + 1)),
+            "surface": ["a", "b", "c", "d", "e", "f"],
+            "oid": [None, None, None, "O:7", None, "O:2"],
+            "ids": [[], [], [], ["O:7"], [], ["O:2"]],
+            "fold_key": ["zeta", "eta", "c", "d", "e", "f"],
+        },
+        schema=pa.schema(_MENTION_SCHEMA),
+    )
+    return mentions, _edge_table([10, 12, 13, 14], [11, 13, 99, 14])
+
+
+def test_both_cluster_arms_assign_the_same_ids(linkage_inputs, monkeypatch):
+    """cluster_mentions gives the same rows with the driver arm and with
+    the label join + assignment shuffles: over the scored sf0.001 edges
+    (singletons and resolved components), an empty edge set, and a
+    hand-built set with an unresolved (SURF:) component."""
+    import ray.data
+
+    from bern_ray.pipelines.linkage import cluster_mentions
+    from bern_ray.stages import partitions
+
+    normalized, edges = linkage_inputs
+    hand, hand_edges = _hand_built_mentions()
+    cases = [
+        (normalized, edges),
+        (normalized, ray.data.from_arrow(_edge_table([], []))),
+        (ray.data.from_arrow(hand), ray.data.from_arrow(hand_edges)),
+    ]
+    for m, e in cases:
+        got = []
+        for bound in (0, 1 << 40):
+            monkeypatch.setattr(partitions, "DRIVER_BYTES", bound)
+            got.append(_sorted_table(cluster_mentions(m, e), ["mention_id"]))
+        assert got[0].num_rows == m.count()
+        assert got[0].equals(got[1])
+    assert got[0]["cluster_id"].to_pylist() == [
+        "SURF:eta",
+        "SURF:eta",
+        "BERN:O:7",
+        "BERN:O:7",
+        "SURF:e",
+        "BERN:O:2",
+    ]
+    sizes = (
+        _sorted_table(cluster_mentions(normalized, edges), ["mention_id"])
+        .group_by("cluster_id")
+        .aggregate([("mention_id", "count")])
+    )
+    assert 1 in sizes["mention_id_count"].to_pylist()
+    assert 1 < max(sizes["mention_id_count"].to_pylist())
