@@ -137,27 +137,6 @@ def minhash_signatures(
     return sig
 
 
-def band_keys(
-    sig: np.ndarray, bands: int = 32, rows: int = 4, prefix: str = "L"
-) -> np.ndarray:
-    """Collapse a signature matrix to `bands` string band-keys per doc.
-
-    Key format '{prefix}:{band}:{hash16}' — docs sharing any band key
-    become blocking candidates.
-    """
-    n, num_perm = sig.shape
-    assert bands * rows <= num_perm
-    out = np.empty((n, bands), dtype=object)
-    for b in range(bands):
-        chunk = sig[:, b * rows : (b + 1) * rows]
-        h = np.zeros(n, dtype=np.uint64)
-        for r in range(rows):
-            h = _splitmix64(h ^ chunk[:, r])
-        hs = np.char.mod("%016x", h)
-        out[:, b] = np.char.add(f"{prefix}:{b}:", hs)
-    return out
-
-
 def simhash(flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """64-bit SimHash per document from flat shingle hashes.
 

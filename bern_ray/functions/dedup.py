@@ -27,6 +27,16 @@ buckets where a fixed count made 128 and 64 kernel calls; 40,000 docs
 at 32 CPUs keep 128 and 64. Every kernel works per band, token or
 doc_id, whose rows share one bucket at any count, so no output
 depends on it.
+
+Driver arms. ``exact_dedup``, ``minhash_neardup`` and
+``setsim_neardup`` first ask stages/partitions.py ``driver_table`` for
+their materialized per-doc table (the fingerprints, the shingle sets,
+and for minhash then the band rows). A held table (within
+``DRIVER_BYTES``) runs the same kernels once on the driver: one Arrow
+group-by for exact, the band / posting kernel over the whole table
+and ``_verify_held`` for the near-dup pair, with no shuffle. A table
+over the bound takes the shuffles above, so no table larger than the
+bound ever reaches the driver.
 """
 
 from __future__ import annotations
@@ -39,14 +49,14 @@ import ray
 import ray.data
 
 from ..core.minhash import (
-    band_keys,
+    _splitmix64,
     minhash_signatures,
     simhash,
     token_shingles,
 )
 from ..stages.bucketed import PREP_BATCH, bucketed_apply, segments
 from ..stages.join import DEFAULT_NUM_BUCKETS
-from ..stages.partitions import plan_buckets, session_cpus
+from ..stages.partitions import driver_table, plan_buckets, session_cpus
 from .textstats import fingerprint_batch
 
 MINHASH_PERMS = 128
@@ -55,13 +65,34 @@ MINHASH_ROWS = 4
 
 
 def exact_dedup(docs: "ray.data.Dataset") -> "ray.data.Dataset":
-    """-> (content_md5, rep_doc_id, n_dups); rep = min doc_id."""
-    hashed = docs.map_batches(fingerprint_batch, batch_format="pyarrow")
-    agg = hashed.groupby("content_md5").aggregate(
-        ray.data.aggregate.Min("doc_id", alias_name="rep_doc_id"),
-        ray.data.aggregate.Count(alias_name="n_dups"),
+    """-> (content_md5, rep_doc_id, n_dups); rep = min doc_id. The
+    (doc_id, content_md5) table is materialized; when it is held
+    (``driver_table``, ~40 B per doc) one Arrow group-by on the driver
+    reduces it, sorted by hash like the groupby it replaces."""
+    hashed = docs.map_batches(
+        fingerprint_batch, batch_format="pyarrow"
+    ).materialize()
+    held = driver_table(hashed, ["doc_id", "content_md5"])
+    if held is None:
+        return hashed.groupby("content_md5").aggregate(
+            ray.data.aggregate.Min("doc_id", alias_name="rep_doc_id"),
+            ray.data.aggregate.Count(alias_name="n_dups"),
+        )
+    agg = held.group_by("content_md5").aggregate(
+        [
+            ("doc_id", "min"),
+            ("doc_id", "count", pc.CountOptions(mode="all")),
+        ]
     )
-    return agg
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "content_md5": agg["content_md5"],
+                "rep_doc_id": agg["doc_id_min"],
+                "n_dups": agg["doc_id_count"],
+            }
+        ).sort_by("content_md5")
+    )
 
 
 def _shingle_sets(texts: list[str], k: int) -> list[np.ndarray]:
@@ -86,38 +117,59 @@ def _shingle_sets(texts: list[str], k: int) -> list[np.ndarray]:
     return out
 
 
-def _minhash_band_rows(t: pa.Table, k: int) -> pa.Table:
-    """(band, doc_id, sig64) rows — token sets are NOT shipped through
+# one salt per band index b: band key = (band hash h) ^ salt[b]
+_BAND_SALT = _splitmix64(np.arange(MINHASH_BANDS, dtype=np.uint64))
+
+
+def _band_rows(doc_ids: np.ndarray, sig: np.ndarray) -> pa.Table:
+    """(band, doc_id, sig64) rows, MINHASH_BANDS per doc, from an
+    (n, >= 128) signature matrix — token sets are NOT shipped through
     the shuffle (carrying them per band row multiplied shuffle volume
-    by the band count). ``sig64`` is one 64-bit fold of the FULL
-    minhash signature: exact-duplicate contents agree on it, so the
-    oversized-band path can collapse duplicate classes without ever
-    seeing the text."""
-    texts = t["text"].to_pylist()
-    doc_ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    flat, starts = token_shingles(texts, k=k)
-    sig = minhash_signatures(flat, starts, num_perm=MINHASH_PERMS)
-    bands = band_keys(sig, bands=MINHASH_BANDS, rows=MINHASH_ROWS)
+    by the band count).
+
+    ``band`` is one int64 key per (band index b, band hash h), where h
+    is a splitmix chain over the band's MINHASH_ROWS values: the key is
+    h ^ salt[b]. It is not a bijection of (b, h), but it adds no
+    collision likelier than one of h itself: within a band it is a
+    bijection of h, so two docs share a key there exactly when their h
+    collide; across bands b != b' a shared key needs h ^ h' to equal
+    the one constant salt[b] ^ salt[b'], which two independent 64-bit
+    hashes do with probability 2^-64, the chance that h = h'.
+
+    ``sig64`` is one 64-bit fold of the FULL signature: exact-duplicate
+    contents agree on it, so the oversized-band path can collapse
+    duplicate classes without ever seeing the text."""
+    n = len(doc_ids)
+    chunks = sig[:, : MINHASH_BANDS * MINHASH_ROWS].reshape(
+        n, MINHASH_BANDS, MINHASH_ROWS
+    )
+    h = np.zeros((n, MINHASH_BANDS), dtype=np.uint64)
+    for r in range(MINHASH_ROWS):
+        h = _splitmix64(h ^ chunks[:, :, r])
     # order-sensitive fold of the whole signature row (splitmix chain)
-    acc = np.zeros(len(texts), dtype=np.uint64)
+    acc = np.zeros(n, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for c in range(sig.shape[1]):
-            z = acc ^ sig[:, c].astype(np.uint64)
+            z = acc ^ sig[:, c]
             z = (z + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(
                 0xBF58476D1CE4E5B9
             )
             acc = z ^ (z >> np.uint64(29))
-    n = len(texts)
     rep = np.repeat(np.arange(n), MINHASH_BANDS)
     return pa.table(
         {
-            "band": pa.array(bands.ravel().tolist(), type=pa.string()),
+            "band": pa.array((h ^ _BAND_SALT).view(np.int64).ravel()),
             "doc_id": pa.array(doc_ids[rep], type=pa.int64()),
-            "sig64": pa.array(
-                acc.astype(np.int64)[rep], type=pa.int64()
-            ),
+            "sig64": pa.array(acc.view(np.int64)[rep]),
         }
     )
+
+
+def _minhash_band_rows(t: pa.Table, k: int) -> pa.Table:
+    """_band_rows of the batch's k-shingle minhash signatures."""
+    flat, starts = token_shingles(t["text"].to_pylist(), k=k)
+    sig = minhash_signatures(flat, starts, num_perm=MINHASH_PERMS)
+    return _band_rows(t["doc_id"].to_numpy(zero_copy_only=False), sig)
 
 
 _DEDUP_BUCKETS = 128
@@ -311,20 +363,33 @@ def minhash_neardup(
     bucketed groupby generates candidate pairs vectorized; (3) exact
     verification attaches both docs' shingle sets with two DISTRIBUTED
     bucketed hash joins on doc_id (stages/join.py), the pair dedup
-    folded into the first — the shingle table never funnels through
-    the driver, so the verify holds at 10^12-doc scale. The shingle
-    Dataset is pinned once (object store, spillable) because both
-    joins consume it, and its row count (block metadata) plans the
-    bucket count of all three shuffles (_planned_buckets).
+    folded into the first. The shingle Dataset is pinned once (object
+    store, spillable) because both joins consume it, and its row count
+    (block metadata) plans the bucket count of all three shuffles
+    (_planned_buckets).
+
+    Driver arm: when the shingle table and then the materialized band
+    rows are both held (``driver_table``, within DRIVER_BYTES), steps
+    (2) and (3) run on the driver instead — the same band kernel over
+    the whole band table, then _verify_held — with no shuffle. Band
+    rows over the bound go to the shuffle above, so only tables of at
+    most DRIVER_BYTES ever reach the driver.
     """
     shingles = docs.map_batches(
         lambda t: _shingle_list_rows(t, shingle_k), batch_format="pyarrow"
     ).materialize()
-
-    num_buckets = _planned_buckets(shingles)
     band_rows = docs.map_batches(
         lambda t: _minhash_band_rows(t, shingle_k), batch_format="pyarrow"
     )
+    held = driver_table(shingles, ["doc_id", "tok"])
+    if held is not None:
+        band_rows = band_rows.materialize()
+        bands = driver_table(band_rows, ["band", "doc_id", "sig64"])
+        if bands is not None:
+            pairs = _band_pairs_bucket(band_cap)(bands)
+            return _verify_held(pairs, held, threshold, "jaccard")
+
+    num_buckets = _planned_buckets(shingles)
     pairs = bucketed_apply(
         band_rows, "band", _band_pairs_bucket(band_cap), num_buckets
     )
@@ -446,6 +511,74 @@ def _set_overlaps(
     return inter, sizes[0], sizes[1]
 
 
+def _verify_batch(
+    t: pa.Table,
+    threshold: float,
+    sim: str,
+    score_col: str,
+    min_overlap: int = 0,
+) -> pa.Table:
+    """The scoring kernel of both verify arms: (doc_id_a, doc_id_b,
+    tok_a, tok_b) rows -> (doc_id_a, doc_id_b, score_col) for the rows
+    whose ``sim`` score reaches ``threshold`` and whose overlap reaches
+    ``min_overlap``. A null set (a doc the left join missed) counts as
+    empty."""
+    a = t["doc_id_a"].to_numpy(zero_copy_only=False)
+    b = t["doc_id_b"].to_numpy(zero_copy_only=False)
+    inter, na, nb = _set_overlaps(t["tok_a"], t["tok_b"])
+    score = _SETSIM_MEASURES[sim]["score"](inter.astype(float), na, nb)
+    keep = (score >= threshold) & (inter >= min_overlap)
+    out_score = (
+        pa.array(score[keep].astype(np.int64), type=pa.int64())
+        if sim == "overlap"
+        else pa.array(np.round(score[keep], 6))
+    )
+    return pa.table(
+        {
+            "doc_id_a": pa.array(a[keep], type=pa.int64()),
+            "doc_id_b": pa.array(b[keep], type=pa.int64()),
+            score_col: out_score,
+        }
+    )
+
+
+# candidate pairs per _verify_batch call on the driver. The attached
+# sets cost pairs x set size, and the candidates are not bounded by the
+# held table's bytes: one call over the 1.96M unique setsim pairs of
+# 40,000 docs passed 14 GB and was killed. Calls of 1-4k pairs were
+# also the fastest per pair there (the sorts stay in cache): 2.9 s per
+# 262k pairs, against 5.7 s at 65k pairs per call.
+_VERIFY_ROWS = 1 << 12
+
+
+def _verify_held(
+    pairs: pa.Table, held: pa.Table, threshold: float, sim: str
+) -> "ray.data.Dataset":
+    """verify_setsim_pairs on the driver, for a held (doc_id, tok)
+    shingle table (``driver_table``): the candidate pairs are
+    deduplicated, each side's set is attached by ``searchsorted`` on
+    the table sorted by doc_id (a doc it lacks gets a null set, the
+    left join's miss), and _verify_batch scores them into column
+    ``sim``, _VERIFY_ROWS pairs per call."""
+    pairs = _sorted_unique(pairs, ["doc_id_a", "doc_id_b"])
+    held = held.sort_by("doc_id")
+    ids = held["doc_id"].to_numpy()
+    out = []
+    for lo in range(0, max(pairs.num_rows, 1), _VERIFY_ROWS):
+        chunk = pairs.slice(lo, _VERIFY_ROWS)
+        cols = {"doc_id_a": chunk["doc_id_a"], "doc_id_b": chunk["doc_id_b"]}
+        for side in ("a", "b"):
+            want = chunk[f"doc_id_{side}"].to_numpy()
+            at = np.searchsorted(ids, want)
+            hit = at < len(ids)
+            hit[hit] = ids[at[hit]] == want[hit]
+            cols[f"tok_{side}"] = held["tok"].take(
+                pa.array(np.where(hit, at, 0), mask=~hit)
+            )
+        out.append(_verify_batch(pa.table(cols), threshold, sim, sim))
+    return ray.data.from_arrow(pa.concat_tables(out))
+
+
 def verify_setsim_pairs(
     pairs: "ray.data.Dataset",
     shingles: "ray.data.Dataset",
@@ -460,21 +593,20 @@ def verify_setsim_pairs(
     doc_id_b) pairs: both docs' shingle sets attach via two
     DISTRIBUTED bucketed hash joins on doc_id (global pair dedup
     folded into join1's bucket — a pair's bucket is determined by
-    doc_id_a alone, saving a standalone sort barrier); the shingle
-    table never funnels through the driver. Shared tail of
-    minhash_neardup and the setsim_neardup family; `sim` picks the
+    doc_id_a alone, saving a standalone sort barrier); the dataset
+    arm of the verify, taken by minhash_neardup and setsim_neardup
+    when their tables are over DRIVER_BYTES (_verify_held below it)
+    and always by the rest of the setsim family; `sim` picks the
     measure (jaccard/cosine/dice) from _SETSIM_MEASURES. For R-S
     joins `shingles_b` supplies the b-side's sets (defaults to the
     self-join case: both sides read `shingles`). A pair is kept when
     score >= `threshold` and |A∩B| >= `min_overlap`. Both joins take
     the caller's planned ``num_buckets``, capped at the join default;
-    the intersections are one flat pass per batch (_set_overlaps)."""
+    both arms score with _verify_batch."""
     from ..stages.join import bucket_join
 
     num_buckets = min(num_buckets, DEFAULT_NUM_BUCKETS)
-    score_fn = _SETSIM_MEASURES[sim]["score"]
     score_col = score_col or sim
-    int_score = sim == "overlap"
 
     def side(name: str, src=None):
         return (src if src is not None else shingles).map_batches(
@@ -510,28 +642,10 @@ def verify_setsim_pairs(
         num_buckets=num_buckets,
     )
 
-    def verify(t: pa.Table) -> pa.Table:
-        a = t["doc_id_a"].to_numpy(zero_copy_only=False)
-        b = t["doc_id_b"].to_numpy(zero_copy_only=False)
-        inter, na, nb = _set_overlaps(t["tok_a"], t["tok_b"])
-        score = score_fn(inter.astype(float), na, nb)
-        keep = (score >= threshold) & (inter >= min_overlap)
-        out_score = (
-            pa.array(
-                score[keep].astype(np.int64), type=pa.int64()
-            )
-            if int_score
-            else pa.array(np.round(score[keep], 6))
-        )
-        return pa.table(
-            {
-                "doc_id_a": pa.array(a[keep], type=pa.int64()),
-                "doc_id_b": pa.array(b[keep], type=pa.int64()),
-                score_col: out_score,
-            }
-        )
-
-    return j2.map_batches(verify, batch_format="pyarrow")
+    return j2.map_batches(
+        lambda t: _verify_batch(t, threshold, sim, score_col, min_overlap),
+        batch_format="pyarrow",
+    )
 
 
 def _prefix_rows(
@@ -674,7 +788,11 @@ def setsim_neardup(
     (4) exact Jaccard verification via the shared distributed-join
         tail (verify_setsim_pairs).
     The pinned shingle table's row count (block metadata) plans the
-    bucket count of steps (3) and (4) (_planned_buckets).
+    bucket count of steps (3) and (4) (_planned_buckets). When that
+    table is held (``driver_table``, within DRIVER_BYTES), steps (2)
+    to (4) run on the driver with the same kernels (_prefix_rows,
+    _posting_pairs_bucket over the whole prefix table, _verify_held)
+    and no shuffle.
 
     Scale: posting lists of stop-shingles are the skew risk —
     `posting_cap` (opt-in, like minhash's band_cap) bounds them with a
@@ -685,25 +803,20 @@ def setsim_neardup(
     shingles = docs.map_batches(
         lambda t: _shingle_list_rows(t, shingle_k), batch_format="pyarrow"
     ).materialize()
+    posting_pairs = _posting_pairs_bucket(coef, posting_cap, positional)
+    held = driver_table(shingles, ["doc_id", "tok"])
+    if held is not None:
+        pairs = posting_pairs(_prefix_rows(held, coef, with_pos=positional))
+        return _verify_held(pairs, held, threshold, sim)
 
     num_buckets = _planned_buckets(shingles)
     prefix = shingles.map_batches(
         lambda t: _prefix_rows(t, coef, with_pos=positional),
         batch_format="pyarrow",
     )
-    pairs = bucketed_apply(
-        prefix,
-        "tok",
-        _posting_pairs_bucket(coef, posting_cap, positional),
-        num_buckets,
-    )
+    pairs = bucketed_apply(prefix, "tok", posting_pairs, num_buckets)
     return verify_setsim_pairs(
-        pairs,
-        shingles,
-        threshold,
-        sim=sim,
-        score_col="jaccard" if sim == "jaccard" else sim,
-        num_buckets=num_buckets,
+        pairs, shingles, threshold, sim=sim, num_buckets=num_buckets
     )
 
 
@@ -2185,36 +2298,15 @@ def _doc_tf_arrays(
 
 
 def _icws_band_rows(t: pa.Table) -> pa.Table:
-    """(band, doc_id, sig64) rows from ICWS weighted-minhash
-    signatures — the weighted twin of _minhash_band_rows, same band
-    geometry (32 x 4 over 128 samples) and the same order-sensitive
-    sig64 fold so the oversized-band collapse machinery applies
+    """_band_rows of the batch's ICWS weighted-minhash signatures —
+    the weighted twin of _minhash_band_rows, same band geometry
+    (32 x 4 over 128 samples), so the oversized-band collapse applies
     unchanged (weighted-identical docs agree on the full signature)."""
     from ..core.minhash import icws_signatures
 
-    doc_ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    n = len(doc_ids)
     tok_h, tf, starts = _doc_tf_arrays(t)
     sig = icws_signatures(tok_h, tf, starts, num_samples=MINHASH_PERMS)
-    bands = band_keys(
-        sig, bands=MINHASH_BANDS, rows=MINHASH_ROWS, prefix="W"
-    )
-    acc = np.zeros(n, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for c in range(sig.shape[1]):
-            z = acc ^ sig[:, c].astype(np.uint64)
-            z = (z + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(
-                0xBF58476D1CE4E5B9
-            )
-            acc = z ^ (z >> np.uint64(29))
-    rep = np.repeat(np.arange(n), MINHASH_BANDS)
-    return pa.table(
-        {
-            "band": pa.array(bands.ravel().tolist(), type=pa.string()),
-            "doc_id": pa.array(doc_ids[rep], type=pa.int64()),
-            "sig64": pa.array(acc.astype(np.int64)[rep], type=pa.int64()),
-        }
-    )
+    return _band_rows(t["doc_id"].to_numpy(zero_copy_only=False), sig)
 
 
 def icws_neardup(

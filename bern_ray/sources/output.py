@@ -212,7 +212,10 @@ def write_outputs(
     'etype', or a precomputed key-range bucket) so a failed run can
     skip finished partitions and consumers can prune at the read —
     the brief's resumable-output requirement. Never one giant file.
+    ``clusters`` is materialized once here: both sinks read it, and a
+    lazy one would run its whole pipeline again for the second.
     """
+    clusters = clusters.materialize()
     dens = to_denotations(clusters)
     if fmt == "parquet":
         if partition_by is not None:

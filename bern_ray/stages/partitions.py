@@ -46,6 +46,17 @@ vocabulary build, the hot-key census and cluster assignment. At sf0.1
 x replicate 8 their inputs are 13.7 MiB (82,105 mentions), 12.5 MiB
 (410,525 exploded rows) and 12.5 MiB (537,564 edges), so the headline
 takes the driver arms; an input 2.4x that size takes the dataset arms.
+Three near-dup operators take it too (functions/dedup.py): exact_dedup
+on its fingerprint table, and minhash_neardup / setsim_neardup on
+their shingle table (minhash then also on its band rows, 32 int64-keyed
+rows per doc). At 2,000 docs these are 0.08, 1.2 and 1.5 MiB; at
+40,000 docs (sf0.1 x 8) 1.7, 16.4 and 29.3 MiB, so both sizes take
+every driver arm. That is the faster arm there: on a 2-CPU Ray
+session (1 CPU in ``nproc``) exact took 0.43 s against 3.46 s and
+minhash 7.99 s against 10.17 s, with equal rows; setsim's driver arm
+took 32 s, while its dataset arm pushed the session past 6.5 GB and
+was stopped unfinished. The driver arm scores the candidate pairs in
+fixed-size calls, because their number is not bounded by these bytes.
 A lazy dataset always takes the dataset arm (its size is unknown
 without running it), so checkpointed passes, which read their stages
 back lazily, keep today's shuffles.

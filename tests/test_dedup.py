@@ -1005,3 +1005,194 @@ def test_pair_kernels_match_pandas_prelude():
     rs_pairs = _posting_pairs_rs_bucket(0.8, None)(rs).to_pylist()
     assert {"doc_id_a": 4, "doc_id_b": 5} in rs_pairs
     assert {"doc_id_a": 5, "doc_id_b": 5} in rs_pairs
+
+
+# ------------------------------------------------ int band keys, arms
+
+
+def _string_band_rows(t: pa.Table, k: int = 3) -> pa.Table:
+    """_minhash_band_rows with the former string band keys
+    '{b}:{h:016x}' over the same signatures, so only the key differs."""
+    from bern_ray.core.minhash import (
+        _splitmix64,
+        minhash_signatures,
+        token_shingles,
+    )
+    from bern_ray.functions import dedup
+
+    flat, starts = token_shingles(t["text"].to_pylist(), k=k)
+    sig = minhash_signatures(flat, starts, num_perm=dedup.MINHASH_PERMS)
+    keys = []
+    for b in range(dedup.MINHASH_BANDS):
+        h = np.zeros(t.num_rows, dtype=np.uint64)
+        for r in range(dedup.MINHASH_ROWS):
+            h = _splitmix64(h ^ sig[:, b * dedup.MINHASH_ROWS + r])
+        keys.append(np.char.add(f"{b}:", np.char.mod("%016x", h)))
+    rows = dedup._minhash_band_rows(t, k)
+    band = pa.array(np.stack(keys, axis=1).ravel().tolist(), pa.string())
+    return rows.set_column(0, "band", band)
+
+
+@pytest.mark.parametrize("sf", [SF, "/root/testdata/sf0.01"])
+def test_int_band_keys_give_the_string_keys_pairs(sf):
+    """The int64 band key (band hash ^ per-band salt) groups exactly the
+    docs the string key '{b}:{h:016x}' grouped: the same candidate
+    pairs, uncapped and capped."""
+    import pyarrow.parquet as pq
+
+    from bern_ray.functions.dedup import (
+        DEFAULT_BAND_CAP,
+        _band_pairs_bucket,
+        _minhash_band_rows,
+        _sorted_unique,
+    )
+
+    t = pq.read_table(f"{sf}/documents.parquet", columns=["doc_id", "text"])
+    rows = _minhash_band_rows(t, 3)
+    assert rows["band"].type == pa.int64()
+    assert rows.num_rows == 32 * t.num_rows
+    strings = _string_band_rows(t)
+    keys = ["doc_id_a", "doc_id_b"]
+    for cap in (None, 3, DEFAULT_BAND_CAP):
+        kernel = _band_pairs_bucket(cap)
+        got = _sorted_unique(kernel(rows), keys)
+        assert got.num_rows > 0
+        assert got.equals(_sorted_unique(kernel(strings), keys))
+
+
+def _edge_case_docs() -> pa.Table:
+    """Empty texts, texts shorter than k = 3 tokens, an exact-duplicate
+    class of five long texts (every band of it all-duplicate, over a
+    band cap of 3) and near-dup variants one token apart."""
+    base = (
+        "alpha beta gamma delta epsilon zeta eta theta iota kappa lambda "
+        "mu nu xi omicron pi rho sigma tau upsilon phi chi psi omega "
+    )
+    boiler = "the quick brown fox jumps over the lazy dog once more today"
+    texts = {
+        1: "",
+        2: "two tokens",
+        3: "",
+        4: "Two Tokens",
+        5: "one",
+        **{10 + i: boiler for i in range(5)},
+        20: base + "one",
+        21: base + "two",
+        22: base + "three",
+        23: base,
+        30: "an unrelated document with words of its very own here",
+    }
+    return pa.table(
+        {
+            "doc_id": pa.array(list(texts), pa.int64()),
+            "text": pa.array(list(texts.values()), pa.string()),
+        }
+    )
+
+
+def _arm_cases():
+    from bern_ray.functions import dedup
+
+    return {
+        "exact": lambda d: dedup.exact_dedup(d),
+        "minhash": lambda d: dedup.minhash_neardup(d),
+        "minhash_capped": lambda d: dedup.minhash_neardup(d, band_cap=3),
+        **{
+            f"setsim_{sim}_{pos}": (
+                lambda d, sim=sim, pos=pos: dedup.setsim_neardup(
+                    d, 0.8, sim=sim, positional=pos
+                )
+            )
+            for sim in ("jaccard", "cosine", "dice")
+            for pos in (True, False)
+        },
+    }
+
+
+@pytest.mark.parametrize("corpus", ["sf0.001", "edge_cases"])
+def test_both_neardup_arms_give_the_same_rows(ray_session, monkeypatch, corpus):
+    """exact_dedup, minhash_neardup (capped and not) and setsim_neardup
+    (each measure, positional filter on and off) give the same rows,
+    the same column types and the same cap counters with every driver
+    arm (bound 2^40) and with none (bound 0)."""
+    import ray.data
+
+    from bern_ray.stages import partitions
+    from bern_ray.state import counters
+
+    if corpus == "sf0.001":
+        docs = ray.data.read_parquet(f"{SF}/documents.parquet")
+    else:
+        docs = ray.data.from_arrow(_edge_case_docs()).repartition(3)
+    docs = docs.materialize()
+    for name, op in _arm_cases().items():
+        got = []
+        for bound in (0, 1 << 40):
+            monkeypatch.setattr(partitions, "DRIVER_BYTES", bound)
+            counters.reset()
+            out = op(docs).materialize()
+            t = pa.concat_tables(
+                out.iter_batches(batch_format="pyarrow", batch_size=None)
+            )
+            keys = t.column_names[:1] if name == "exact" else t.column_names[:2]
+            got.append((t.sort_by([(k, "ascending") for k in keys]),
+                        counters.snapshot()))
+        (t0, c0), (t1, c1) = got
+        assert t0.num_rows > 0, name
+        assert t0.equals(t1), name
+        assert c0 == c1, name
+        if name == "minhash_capped":
+            assert c0.get("minhash_bands_capped", 0) > 0
+    if corpus == "edge_cases":
+        # the five-copy class is one exact group led by doc 10
+        exact = _arm_cases()["exact"](docs).to_pandas()
+        assert sorted(exact.n_dups.tolist())[-1] == 5
+        assert 10 in exact.rep_doc_id.tolist()
+
+
+@pytest.mark.parametrize("bound, shuffled", [(None, False), (0, True)])
+def test_neardup_arms(ray_session, monkeypatch, bound, shuffled):
+    """At the default bound the three near-dup-pass operators on sf0.001
+    run no bucketed_apply, no bucket_join and no Dataset.groupby; with
+    the bound at 0 each runs its shuffles."""
+    import ray.data
+
+    from bern_ray.functions import dedup
+    from bern_ray.stages import join, partitions
+
+    calls = []
+    real_apply, real_join = dedup.bucketed_apply, join.bucket_join
+    real_groupby = ray.data.Dataset.groupby
+
+    def bucketed_apply(ds, key, *args, **kwargs):
+        calls.append(("bucketed_apply", key))
+        return real_apply(ds, key, *args, **kwargs)
+
+    def bucket_join(*args, **kwargs):
+        calls.append(("bucket_join", kwargs["left_on"]))
+        return real_join(*args, **kwargs)
+
+    def groupby(self, key, *args, **kwargs):
+        calls.append(("groupby", key))
+        return real_groupby(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(dedup, "bucketed_apply", bucketed_apply)
+    monkeypatch.setattr(join, "bucket_join", bucket_join)
+    monkeypatch.setattr(ray.data.Dataset, "groupby", groupby)
+    if bound is not None:
+        monkeypatch.setattr(partitions, "DRIVER_BYTES", bound)
+    docs = ray.data.read_parquet(f"{SF}/documents.parquet")
+    dedup.exact_dedup(docs).materialize()
+    dedup.minhash_neardup(docs, band_cap=dedup.DEFAULT_BAND_CAP).materialize()
+    dedup.setsim_neardup(docs, 0.85).materialize()
+    want = {
+        ("groupby", "content_md5"),
+        ("bucketed_apply", "band"),
+        ("bucketed_apply", "tok"),
+        ("bucket_join", "doc_id_a"),
+        ("bucket_join", "doc_id_b"),
+    }
+    if shuffled:
+        assert want <= set(calls)
+    else:
+        assert calls == []

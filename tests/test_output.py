@@ -49,6 +49,27 @@ def test_write_and_readback(clusters, tmp_path):
     assert back.count() == clusters.to_pandas().url.nunique()
 
 
+def test_write_outputs_runs_lazy_clusters_once(clusters, tmp_path):
+    """Both sinks read one materialization: each block of a lazy
+    clusters dataset passes its map exactly once."""
+    import os
+    import tempfile
+
+    from bern_ray.sources.output import write_outputs
+
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def mark(t):
+        fd, _ = tempfile.mkstemp(dir=marks)
+        os.close(fd)
+        return t
+
+    lazy = clusters.map_batches(mark, batch_format="pyarrow", batch_size=None)
+    write_outputs(lazy, str(tmp_path / "out"))
+    assert len(list(marks.iterdir())) == clusters.num_blocks()
+
+
 def test_pubtator_round_trip():
     """writer -> parser round-trip: every mention field survives
     (reference write convert.py:559-586, parse convert.py:9-115)."""

@@ -171,10 +171,15 @@ def test_bucket_count_changes_no_linkage_output(linkage_inputs):
 def test_bucket_count_changes_no_neardup_output(ray_session, monkeypatch):
     """minhash (capped and not), setsim and the R-S setsim join give the
     same rows with their planned count forced to one bucket, to the
-    count planned from the shingle table and to the old 128."""
+    count planned from the shingle table and to the old 128. The driver
+    bound is 0, so minhash and setsim take their shuffle arms, whose
+    count is the one varied."""
     import ray.data
 
     from bern_ray.functions import dedup
+    from bern_ray.stages import partitions
+
+    monkeypatch.setattr(partitions, "DRIVER_BYTES", 0)
 
     docs = ray.data.read_parquet(SF + "/documents.parquet").materialize()
     shingles = docs.map_batches(

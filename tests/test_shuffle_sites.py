@@ -117,3 +117,24 @@ def test_dedup_bucket_counts_are_planned():
                 fixed.append(top.name)
     assert seen == PLANNED_DEDUP_OPERATORS
     assert fixed == []
+
+
+# the near-dup-pass operators whose small inputs skip every shuffle
+DRIVER_ARM_OPERATORS = {"exact_dedup", "minhash_neardup", "setsim_neardup"}
+
+
+def test_neardup_pass_operators_ask_for_a_driver_table():
+    """Each operator the near-dup pass runs asks stages/partitions.py
+    ``driver_table`` whether its materialized input is held."""
+    tree = ast.parse((PKG / "functions/dedup.py").read_text())
+    asking = {
+        top.name
+        for top in tree.body
+        if getattr(top, "name", None) in DRIVER_ARM_OPERATORS
+        and any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "driver_table"
+            for node in ast.walk(top)
+        )
+    }
+    assert asking == DRIVER_ARM_OPERATORS
