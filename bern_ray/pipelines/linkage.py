@@ -25,15 +25,16 @@ Output schema (expected_clusters shape, FIXTURES.md §4):
 Every stage is expressible through `checkpointed(...)` for
 resume-by-existence (state/checkpoint.py).
 
-Without a checkpoint, the mentions, the exploded block keys and the
-edges are materialized, and each of the three stages that reduce them
-(vocabulary, hot-key census, cluster assignment) pulls its columns to
-the driver and runs there with no Ray Data execution while the input
-is within stages/partitions.py's ``DRIVER_BYTES``; above the bound, or
-on a lazy (checkpointed) input, it runs as Dataset ops and the labels
-never funnel through the driver in 'lp' mode. So a small pass runs
-three executions: mentions, the pair-gen shuffle fused with scoring,
-and nothing else.
+Without a checkpoint the mentions are materialized, and while they
+are within stages/partitions.py's ``DRIVER_BYTES`` every later stage
+runs on the driver from their held columns, with no Ray Data
+execution: the vocabulary, then ``driver_edges`` (explode, hot-key
+census, salting, pair generation and scoring, one key-bucket chunk at
+a time, keeping each chunk's edges), then cluster assignment over the
+held edge table. So a small pass runs one execution, the mentions.
+Above the bound, or on a lazy (checkpointed) input, the stages run as
+Dataset ops: the pair-gen shuffle fused with scoring, and the labels
+never funnel through the driver in 'lp' mode.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from ..stages.blocking import (
     attach_pair_attrs,
     build_attr_vocab,
     candidate_pairs,
+    held_pair_chunks,
 )
 from ..stages.bucketed import bucketed_apply, segments
 from ..stages.extract import MentionExtractor
@@ -232,6 +234,42 @@ def score_pairs(
     )
 
 
+# the mention columns pair generation reads (incremental_linkage adds
+# its is_new flag)
+_PAIR_COLUMNS = ["mention_id", "surface", "oid", "fold_key"]
+
+
+def driver_edges(
+    mentions: "ray.data.Dataset",
+    columns: list[str],
+    vocab,
+    salt_threshold: int = DEFAULT_SALT_THRESHOLD,
+    pair_model_loader=None,
+) -> pa.Table | None:
+    """Driver arm of pairs -> edges: the edge table (src, dst, score) of
+    ``score_pairs(candidate_pairs(mentions, dedup=False,
+    with_attrs=True, vocab=vocab), None, vocab=vocab,
+    emit="edges_only")``, made on the driver with no Ray Data
+    execution from the held ``columns``. It runs when ``mentions`` is
+    materialized within ``partitions.DRIVER_BYTES`` and the vocab was
+    built; else it returns None and the caller takes the dataset arm.
+
+    One PairScorer scores ``held_pair_chunks`` chunk by chunk, and only
+    each chunk's edges are kept."""
+    held = driver_table(mentions, columns) if vocab is not None else None
+    if held is None:
+        return None
+    scorer = PairScorer(
+        vocab=vocab, emit="edges_only", pair_model_loader=pair_model_loader
+    )
+    return pa.concat_tables(
+        [
+            edges_only(scorer(pairs))
+            for pairs in held_pair_chunks(held, vocab, salt_threshold)
+        ]
+    )
+
+
 def _min_per_root(t: pa.Table, col: str) -> pa.ChunkedArray:
     """Per row: the least non-null ``col`` among the rows sharing its
     root (null when all are null). One sort by (root, col) with nulls
@@ -288,18 +326,20 @@ CLUSTER_BUCKETS = 256
 
 def cluster_mentions(
     normalized: "ray.data.Dataset",
-    edges: "ray.data.Dataset",
+    edges: "ray.data.Dataset | pa.Table",
     cc_mode: str = "auto",
     num_buckets: int = CLUSTER_BUCKETS,
 ) -> "ray.data.Dataset":
     """Attach cluster_id via CC labels + per-component id assignment.
-    ``edges`` carries ``src`` / ``dst``; singleton mentions (no edge,
-    no label) root to themselves.
+    ``edges`` carries ``src`` / ``dst``, as a dataset or as a table the
+    driver already holds (``driver_edges``); singleton mentions (no
+    edge, no label) root to themselves.
 
-    Driver arm: outside 'lp' mode, when both inputs are materialized
-    and within ``partitions.DRIVER_BYTES``, CC (``_cc_arrays``), the
-    root lookup (a ``searchsorted`` of each mention into the CC nodes)
-    and ``_assign_clusters_bucket`` run on the driver over the whole
+    Driver arm: outside 'lp' mode, when the edges are held or
+    materialized within ``partitions.DRIVER_BYTES`` and so are the
+    mentions, CC (``_cc_arrays``), the root lookup (a
+    ``searchsorted`` of each mention into the CC nodes) and
+    ``_assign_clusters_bucket`` run on the driver over the whole
     table, with no Ray Data execution; the result is one block.
 
     Dataset arm: labels stay a Dataset end-to-end: a bucketed hash
@@ -316,7 +356,11 @@ def cluster_mentions(
 
     held = held_edges = None
     if cc_mode != "lp":
-        held_edges = driver_table(edges, ["src", "dst"])
+        held_edges = (
+            edges
+            if isinstance(edges, pa.Table)
+            else driver_table(edges, ["src", "dst"])
+        )
     if held_edges is not None:
         held = driver_table(normalized, list(_MENTION_SCHEMA))
     if held is not None:
@@ -336,6 +380,8 @@ def cluster_mentions(
             )
         )
 
+    if isinstance(edges, pa.Table):
+        edges = ray.data.from_arrow(edges)
     labels = components_labels(
         edges, mode=cc_mode, num_buckets=min(num_buckets, CONTRACT_BUCKETS)
     )
@@ -435,23 +481,33 @@ def incremental_linkage(
             salt_threshold=salt_threshold,
             dedup=False,
         )
-        new_scored = score_pairs(pairs, None, emit="edges_only")
+        new_edges = score_pairs(pairs, None, emit="edges_only").map_batches(
+            edges_only, batch_format="pyarrow"
+        )
     else:
         vocab = build_attr_vocab(tagged)
-        pairs = candidate_pairs(
-            tagged,
-            salt_threshold=salt_threshold,
-            dedup=False,
-            with_attrs=True,
-            vocab=vocab,
+        new_edges = driver_edges(
+            tagged, [*_PAIR_COLUMNS, "is_new"], vocab, salt_threshold
         )
-        new_scored = score_pairs(
-            pairs, None, vocab=vocab, emit="edges_only"
-        )
+        if new_edges is not None:
+            new_edges = ray.data.from_arrow(new_edges)
+        else:
+            new_edges = score_pairs(
+                candidate_pairs(
+                    tagged,
+                    salt_threshold=salt_threshold,
+                    dedup=False,
+                    with_attrs=True,
+                    vocab=vocab,
+                ),
+                None,
+                vocab=vocab,
+                emit="edges_only",
+            ).map_batches(edges_only, batch_format="pyarrow")
     # materialized, so a small increment clusters on the driver
     edges = (
         prior_scored.map_batches(edges_only, batch_format="pyarrow")
-        .union(new_scored.map_batches(edges_only, batch_format="pyarrow"))
+        .union(new_edges)
         .materialize()
     )
     return cluster_mentions(tagged, edges)
@@ -529,13 +585,16 @@ def linkage_pipeline(
     + metrics), so they are pinned — to Parquet when a checkpoint_root
     is given (the scale path: resumable, spillable), else to the
     object store with ``materialize()`` (mentions and edges are orders
-    of magnitude smaller than the pages input; without a checkpoint
-    the edge projection is what gets materialized, inside the scoring
-    execution). Without pinning, Ray's lazy re-execution would re-run
-    extraction once per consumer. The materialized inputs within
-    ``partitions.DRIVER_BYTES`` take the driver arms of the vocab,
-    census and cluster stages; checkpointed ones are read back lazily
-    and take the dataset arms.
+    of magnitude smaller than the pages input). Without pinning, Ray's
+    lazy re-execution would re-run extraction once per consumer.
+
+    Mentions materialized within ``partitions.DRIVER_BYTES`` (and a
+    vocab built) take the driver arms: ``driver_edges`` makes the edge
+    table from the held mention columns, and ``cluster_mentions`` takes
+    it as a held table, so the pass runs one Ray Data execution. Above
+    the bound the pair-gen shuffle runs fused with scoring and the edge
+    projection is materialized inside that execution; checkpointed
+    stages are read back lazily and take the dataset arms.
     """
     if concurrency is not None:
         check_pool_fits(concurrency, session_cpus())
@@ -569,8 +628,6 @@ def linkage_pipeline(
         lineage=["pages"],
         config=cfg,
     )
-    if checkpoint_root is None:
-        normalized = normalized.materialize()
     # single-sort hot path: attrs ride the pair-gen shuffle as int32
     # codes against a broadcast vocabulary (the sort ships only
     # fixed-width ints), no global pair dedup (CC is idempotent to
@@ -578,8 +635,7 @@ def linkage_pipeline(
     # repeats are near-free). Above MAX_VOCAB distinct surfaces the
     # vocab builder declines and the pipeline auto-falls back to the
     # two-join attach — attrs then never enter the pair sort at all.
-    def _score():
-        vocab = build_attr_vocab(normalized)
+    def _score(vocab):
         if vocab is not None:
             return score_pairs(
                 candidate_pairs(
@@ -609,27 +665,38 @@ def linkage_pipeline(
             pair_model_loader=pair_model_loader,
         )
 
-    scored = checkpointed(
-        "scored_pairs",
-        _score,
-        checkpoint_root,
-        lineage=["normalized"],
-        # scored_emit changes the artifact SCHEMA (four-column vs decoded)
-        # — it must be part of the content key so flipping the flag
-        # between runs invalidates the checkpoint instead of silently
-        # reusing a wrong-schema parquet
-        config={
-            **cfg,
-            **score_cfg,
-            "salt_threshold": salt_threshold,
-            "scored_emit": scored_emit,
-        },
-    )
-    edges = scored.map_batches(edges_only, batch_format="pyarrow")
     if checkpoint_root is None:
-        # the projection runs inside the scoring execution; the held
-        # edges then feed the driver arm of cluster_mentions
-        edges = edges.materialize()
+        normalized = normalized.materialize()
+        vocab = build_attr_vocab(normalized)
+        edges = driver_edges(
+            normalized, _PAIR_COLUMNS, vocab, salt_threshold, pair_model_loader
+        )
+        if edges is None:
+            # the projection runs inside the scoring execution; the held
+            # edges then feed the driver arm of cluster_mentions
+            edges = (
+                _score(vocab)
+                .map_batches(edges_only, batch_format="pyarrow")
+                .materialize()
+            )
+    else:
+        scored = checkpointed(
+            "scored_pairs",
+            lambda: _score(build_attr_vocab(normalized)),
+            checkpoint_root,
+            lineage=["normalized"],
+            # scored_emit changes the artifact SCHEMA (four-column vs
+            # decoded) — it must be part of the content key so flipping
+            # the flag between runs invalidates the checkpoint instead
+            # of silently reusing a wrong-schema parquet
+            config={
+                **cfg,
+                **score_cfg,
+                "salt_threshold": salt_threshold,
+                "scored_emit": scored_emit,
+            },
+        )
+        edges = scored.map_batches(edges_only, batch_format="pyarrow")
     clusters = checkpointed(
         "clusters",
         lambda: cluster_mentions(

@@ -29,6 +29,11 @@ Skew handling (north_rule requirement):
   grouped by the carried base key, so connectivity across salts is
   preserved.
 
+Below stages/partitions.py's DRIVER_BYTES the linkage pass makes the
+same pairs on the driver instead (``held_pair_chunks``): explode,
+census and salting over the held mention columns, then the pair kernel
+one key-hash bucket at a time, with no shuffle.
+
 Candidate pairs are canonically ordered (a_mid < b_mid). With
 ``dedup=True`` they are globally exact-deduplicated by one more
 int-keyed bucketed shuffle, so the consumer sees each pair exactly
@@ -38,6 +43,8 @@ stages/bucketed.py's ``bucketed_apply``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pyarrow as pa
@@ -49,7 +56,7 @@ import ray.data
 from ..core.fold import tmchem_key
 from ..core.minhash import _splitmix64, char_shingles, minhash_signatures
 from .broadcast import get_broadcast
-from .bucketed import bucketed_apply
+from .bucketed import PREP_BATCH, bucketed_apply, key_buckets, segments
 from .partitions import driver_table
 
 LSH_BANDS = 4  # detection prob at j=0.7: 1-(1-0.7^2)^4 ~= 0.93
@@ -344,10 +351,12 @@ def _empty_pairs(with_codes: bool, with_attrs: bool) -> pa.Table:
 def _emit_pairs_bucket(t: pa.Table) -> pa.Table:
     """Vectorized candidate-pair generation for ALL keys in one bucket.
 
-    One Python call per bucket (256 total), C-speed segmentation inside
-    — never one call per block key (millions at web scale). When the
-    exploded rows carry surface/oid, pairs are emitted fully
-    attributed (a_/b_ columns follow the canonical a<b swap).
+    One Python call per bucket (``num_buckets`` of the pair-gen
+    shuffle, or one per ``held_pair_chunks`` chunk), C-speed
+    segmentation inside — never one call per block key (millions at
+    web scale). When the exploded rows carry surface/oid, pairs are
+    emitted fully attributed (a_/b_ columns follow the canonical a<b
+    swap).
     """
     names = t.schema.names
     with_codes = "surface_c" in names
@@ -449,24 +458,22 @@ def _emit_pairs_bucket(t: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
-def _least_key_per_pair(df):
-    """One row per (a_mid, b_mid): the one with the least key, so which
-    originating key survives depends neither on the row order nor on
-    the bucket count."""
-    return df.sort_values(["a_mid", "b_mid", "key"]).drop_duplicates(
-        ["a_mid", "b_mid"]
-    )
-
-
 def _dedup_pairs_bucket(t: pa.Table) -> pa.Table:
     """Global exact pair dedup (in-bucket == global: identical pairs
-    share a_mid, hence a bucket)."""
-    g = _least_key_per_pair(t.to_pandas())
+    share a_mid, hence a bucket). One (a_mid, b_mid, key) row per pair,
+    the one with the least key, so which originating key survives
+    depends neither on the row order nor on the bucket count; rows come
+    out sorted by (a_mid, b_mid)."""
+    a, b, k = (
+        t[c].to_numpy(zero_copy_only=False) for c in ("a_mid", "b_mid", "key")
+    )
+    order = np.lexsort((k, b, a))
+    first = order[segments(a[order], b[order])[0]]
     return pa.table(
         {
-            "a_mid": pa.array(g["a_mid"].to_numpy(), type=pa.int64()),
-            "b_mid": pa.array(g["b_mid"].to_numpy(), type=pa.int64()),
-            "key": pa.array(g["key"].to_numpy(), type=pa.int64()),
+            "a_mid": pa.array(a[first], type=pa.int64()),
+            "b_mid": pa.array(b[first], type=pa.int64()),
+            "key": pa.array(k[first], type=pa.int64()),
         }
     )
 
@@ -486,7 +493,7 @@ HOT_SAMPLE_SHIFT = 4
 
 
 def hot_keys(
-    exploded: "ray.data.Dataset",
+    exploded: "ray.data.Dataset | pa.Table",
     threshold: int,
     sample_shift: int = HOT_SAMPLE_SHIFT,
 ) -> dict[int, int]:
@@ -494,11 +501,11 @@ def hot_keys(
     with counts ESTIMATED from a deterministic mention_id-hash sample
     (scaled back up; exact when sample_shift=0).
 
-    A materialized ``exploded`` within ``partitions.DRIVER_BYTES`` is
-    counted on the driver in one ``value_counts`` (no Ray Data
-    execution). Otherwise counts pre-aggregate inside map_batches
-    (partial combine) so the groupby shuffles one row per (batch, key)
-    — not one per mention.
+    A held ``pa.Table`` (``held_pair_chunks``), or a materialized
+    ``exploded`` within ``partitions.DRIVER_BYTES``, is counted on the
+    driver in one ``value_counts`` (no Ray Data execution). Otherwise
+    counts pre-aggregate inside map_batches (partial combine) so the
+    groupby shuffles one row per (batch, key) — not one per mention.
     """
     mask = np.uint64((1 << sample_shift) - 1)
 
@@ -516,7 +523,11 @@ def hot_keys(
         )
 
     scaled_thr = max(threshold >> sample_shift, 1)
-    held = driver_table(exploded, ["key", "mention_id"])
+    held = (
+        exploded
+        if isinstance(exploded, pa.Table)
+        else driver_table(exploded, ["key", "mention_id"])
+    )
     if held is not None:
         counts = partial_counts(held)
         hot = counts.filter(pc.greater(counts["partial"], scaled_thr))
@@ -542,6 +553,96 @@ def hot_keys(
     return dict(
         zip(hot["key"], hot["sum(partial)"].to_numpy() << sample_shift)
     )
+
+
+def _salting_map(hot: dict[int, int], salt_threshold: int):
+    """The map both pair-generation arms apply to exploded rows once the
+    census found ``hot`` keys: it splits each hot key's rows into
+    ``ceil(count / salt_threshold)`` salted sub-blocks and appends
+    their pivot rows. None when no key is hot. Reports what is salted
+    to the cap counters."""
+    if not hot:
+        return None
+    # log what was salted (SURVEY §7.5) — driver-side, census facts
+    from ..state.counters import add_many as _counter_add_many
+
+    _counter_add_many(
+        {
+            "blocking_hot_keys_salted": len(hot),
+            "blocking_hot_rows_salted": int(sum(hot.values())),
+        }
+    )
+    # SORTED hot-key/count arrays: every per-batch lookup below is
+    # a vectorized searchsorted, never a per-row dict/set probe
+    # (measured: the per-row `b in hot_set` generator alone cost
+    # ~8 s per 26M rows per pass at replicate 512)
+    hk = np.array(sorted(hot), dtype=np.int64)
+    hc = np.array([hot[k] for k in hk], dtype=np.int64)
+    thr = salt_threshold
+
+    def _hot_mask(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pos = np.clip(np.searchsorted(hk, keys), 0, len(hk) - 1)
+        return hk[pos] == keys, hc[pos]
+
+    def salt(t: pa.Table) -> pa.Table:
+        keys = t["key"].to_numpy(zero_copy_only=False)
+        is_hot, cnt = _hot_mask(keys)
+        if not is_hot.any():
+            return t
+        mids = t["mention_id"].to_numpy(zero_copy_only=False)
+        nsplit = -(-cnt // thr)  # ceil div, stays int64
+        sub = (mids % np.maximum(nsplit, 1)).astype(np.uint64)
+        with np.errstate(over="ignore"):
+            ku = keys.astype(np.uint64)
+            salted = (
+                (
+                    _splitmix64(ku ^ (sub + np.uint64(0xA5A5A5A5)))
+                    & _MASK62
+                )
+                | (ku & _PRIMARY_BIT)  # preserve the cap-policy flag
+            ).astype(np.int64)
+        new_keys = np.where(is_hot, salted, keys)
+        return t.set_column(
+            t.schema.get_field_index("key"),
+            "key",
+            pa.array(new_keys, type=pa.int64()),
+        )
+
+    # pivot rows: min mention per (base, salted sub-block) PER
+    # BATCH (partial mins emit a few extra pivots per sub-block —
+    # harmless: pivots only need to reconnect the sub-blocks, and
+    # pair dedup / CC idempotence absorbs repeats; the driver arm
+    # maps the whole table once, so it emits exactly one). They ride the
+    # SAME pair-gen shuffle as the salted rows (keyed by base), so
+    # salting costs zero extra sort barriers — and both outputs
+    # come from ONE fused pass over the exploded stream (the
+    # earlier two-consumer form re-read + re-salted the full
+    # stream for ~3% extra rows: measured ~37 s of wall at
+    # replicate 512, almost all object-store IO).
+    def salt_and_pivots(t: pa.Table) -> pa.Table:
+        st = salt(t)
+        base = st["base"].to_numpy(zero_copy_only=False)
+        keep, _ = _hot_mask(base)
+        if not keep.any():
+            return st
+        sub = st.filter(pa.array(keep))
+        # min mention per (base, key): one lexsort + run starts —
+        # C-speed, no pandas groupby/idxmin materialization
+        b = sub["base"].to_numpy(zero_copy_only=False)
+        k = sub["key"].to_numpy(zero_copy_only=False)
+        m = sub["mention_id"].to_numpy(zero_copy_only=False)
+        order = np.lexsort((m, k, b))
+        starts, _ = segments(b[order], k[order])
+        piv = sub.take(pa.array(order[starts], type=pa.int64()))
+        # group pivots by BASE key (reconnects the sub-blocks)
+        piv = piv.set_column(
+            piv.schema.get_field_index("key"),
+            "key",
+            piv["base"],
+        )
+        return pa.concat_tables([st, piv])
+
+    return salt_and_pivots
 
 
 def candidate_pairs(
@@ -575,6 +676,12 @@ def candidate_pairs(
     `linkage_pipeline` plans it per pass (stages/partitions.py). The
     pairs are the same at any count: a block key's rows share one
     bucket, and so do a pair's duplicates (keyed by a_mid).
+
+    This is the dataset arm and always runs as Dataset ops;
+    `linkage_pipeline` and `incremental_linkage` make the same pairs
+    (``dedup=False``, int32 codes) on the driver with
+    ``held_pair_chunks`` when their mentions are materialized within
+    ``partitions.DRIVER_BYTES``.
     """
     exploded = mentions.map_batches(
         lambda t: explode_block_keys(t, with_attrs=with_attrs, vocab=vocab),
@@ -600,94 +707,12 @@ def pairs_from_exploded(
     exploded rows and reads them back instead of re-exploding) can
     enter the pair-gen shuffle directly."""
     exploded = exploded.materialize()
-    hot = hot_keys(exploded, salt_threshold)
-    if hot:
-        # log what was salted (SURVEY §7.5) — driver-side, census facts
-        from ..state.counters import add_many as _counter_add_many
-
-        _counter_add_many(
-            {
-                "blocking_hot_keys_salted": len(hot),
-                "blocking_hot_rows_salted": int(sum(hot.values())),
-            }
-        )
-        # SORTED hot-key/count arrays: every per-batch lookup below is
-        # a vectorized searchsorted, never a per-row dict/set probe
-        # (measured: the per-row `b in hot_set` generator alone cost
-        # ~8 s per 26M rows per pass at replicate 512)
-        hk = np.array(sorted(hot), dtype=np.int64)
-        hc = np.array([hot[k] for k in hk], dtype=np.int64)
-        thr = salt_threshold
-
-        def _hot_mask(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            pos = np.clip(np.searchsorted(hk, keys), 0, len(hk) - 1)
-            return hk[pos] == keys, hc[pos]
-
-        def salt(t: pa.Table) -> pa.Table:
-            keys = t["key"].to_numpy(zero_copy_only=False)
-            is_hot, cnt = _hot_mask(keys)
-            if not is_hot.any():
-                return t
-            mids = t["mention_id"].to_numpy(zero_copy_only=False)
-            nsplit = -(-cnt // thr)  # ceil div, stays int64
-            sub = (mids % np.maximum(nsplit, 1)).astype(np.uint64)
-            with np.errstate(over="ignore"):
-                ku = keys.astype(np.uint64)
-                salted = (
-                    (
-                        _splitmix64(ku ^ (sub + np.uint64(0xA5A5A5A5)))
-                        & _MASK62
-                    )
-                    | (ku & _PRIMARY_BIT)  # preserve the cap-policy flag
-                ).astype(np.int64)
-            new_keys = np.where(is_hot, salted, keys)
-            return t.set_column(
-                t.schema.get_field_index("key"),
-                "key",
-                pa.array(new_keys, type=pa.int64()),
-            )
-
-        # pivot rows: min mention per (base, salted sub-block) PER
-        # BATCH (partial mins emit a few extra pivots per sub-block —
-        # harmless: pivots only need to reconnect the sub-blocks, and
-        # pair dedup / CC idempotence absorbs repeats). They ride the
-        # SAME pair-gen shuffle as the salted rows (keyed by base), so
-        # salting costs zero extra sort barriers — and both outputs
-        # come from ONE fused pass over the exploded stream (the
-        # earlier two-consumer form re-read + re-salted the full
-        # stream for ~3% extra rows: measured ~37 s of wall at
-        # replicate 512, almost all object-store IO).
-        def salt_and_pivots(t: pa.Table) -> pa.Table:
-            st = salt(t)
-            base = st["base"].to_numpy(zero_copy_only=False)
-            keep, _ = _hot_mask(base)
-            if not keep.any():
-                return st
-            sub = st.filter(pa.array(keep))
-            # min mention per (base, key): one lexsort + run starts —
-            # C-speed, no pandas groupby/idxmin materialization
-            b = sub["base"].to_numpy(zero_copy_only=False)
-            k = sub["key"].to_numpy(zero_copy_only=False)
-            m = sub["mention_id"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((m, k, b))
-            bb, kk = b[order], k[order]
-            new = np.empty(len(order), dtype=bool)
-            new[0] = True
-            new[1:] = (bb[1:] != bb[:-1]) | (kk[1:] != kk[:-1])
-            piv = sub.take(pa.array(order[new], type=pa.int64()))
-            # group pivots by BASE key (reconnects the sub-blocks)
-            piv = piv.set_column(
-                piv.schema.get_field_index("key"),
-                "key",
-                piv["base"],
-            )
-            return pa.concat_tables([st, piv])
-
-        stream = exploded.map_batches(
-            salt_and_pivots, batch_format="pyarrow"
-        )
-    else:
-        stream = exploded
+    salt = _salting_map(hot_keys(exploded, salt_threshold), salt_threshold)
+    stream = (
+        exploded
+        if salt is None
+        else exploded.map_batches(salt, batch_format="pyarrow")
+    )
     # `base` is consumed only by the PRE-shuffle maps (salt /
     # pivot_rows); dropping it keeps 8 dead bytes per row out of the
     # pipeline's one wide sort (~20% of the int-code payload)
@@ -698,6 +723,39 @@ def pairs_from_exploded(
         num_buckets,
     )
     return dedup_pairs(pairs, num_buckets) if dedup else pairs
+
+
+def held_pair_chunks(
+    mentions: pa.Table,
+    vocab: AttrVocab,
+    salt_threshold: int = DEFAULT_SALT_THRESHOLD,
+):
+    """Driver arm of ``candidate_pairs(mentions, dedup=False,
+    with_attrs=True, vocab=vocab)`` over held mention columns
+    (mention_id, surface, oid, fold_key[, is_new]): the same explode,
+    census (``hot_keys`` on the table), salting map and pair kernel,
+    with no Ray Data execution.
+
+    Yields the pairs one chunk at a time, so a caller can reduce each
+    chunk (to its edges) before the next is made: the number of pairs
+    is not bounded by the held bytes. A chunk is one ``key_buckets``
+    hash bucket of the salted rows, ``ceil(rows / PREP_BATCH)`` buckets
+    in all, so no block key is split and the pairs are those of the
+    dataset arm at any chunk count. A block key's rows emit at most
+    ``(MAX_ALLPAIRS - 1) / 2`` pairs per row, so a chunk of
+    ``PREP_BATCH`` rows makes at most ~2.1M pairs."""
+    exploded = explode_block_keys(mentions, with_attrs=True, vocab=vocab)
+    salt = _salting_map(hot_keys(exploded, salt_threshold), salt_threshold)
+    if salt is not None:
+        exploded = salt(exploded)
+    exploded = exploded.drop_columns(["base"])
+    k = max(1, math.ceil(exploded.num_rows / PREP_BATCH))
+    bucket = key_buckets(exploded["key"], k)
+    order = np.argsort(bucket, kind="stable")
+    bounds = np.searchsorted(bucket[order], np.arange(k + 1))
+    exploded = exploded.take(pa.array(order, type=pa.int64()))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield _emit_pairs_bucket(exploded.slice(lo, hi - lo))
 
 
 def attach_pair_attrs(
@@ -720,7 +778,16 @@ def attach_pair_attrs(
     """
     from .join import bucket_join
 
-    prepare = _least_key_per_pair if dedup else None
+    # the join bucket is a pandas frame; keep the least key per pair,
+    # as _dedup_pairs_bucket does
+    prepare = (
+        (
+            lambda df: df.sort_values(["a_mid", "b_mid", "key"])
+            .drop_duplicates(["a_mid", "b_mid"])
+        )
+        if dedup
+        else None
+    )
 
     def side_attrs(prefix: str):
         return mentions.map_batches(

@@ -41,11 +41,22 @@ shuffle 0.2-0.4 s, where a numpy / Arrow reduce over a few MB takes
 milliseconds. ``driver_table`` hands a stage the columns of a
 MATERIALIZED dataset as one driver table when its ``size_bytes()``
 (block metadata) is at most ``DRIVER_BYTES``, and None otherwise; the
-stage then runs today's dataset arm. Three linkage stages take it: the
-vocabulary build, the hot-key census and cluster assignment. At sf0.1
-x replicate 8 their inputs are 13.7 MiB (82,105 mentions), 12.5 MiB
-(410,525 exploded rows) and 12.5 MiB (537,564 edges), so the headline
-takes the driver arms; an input 2.4x that size takes the dataset arms.
+stage then runs today's dataset arm. On a linkage pass the held
+mentions feed every stage after extraction: the vocabulary build, then
+pair generation with scoring (explode, hot-key census, salting, pair
+kernel and scorer; pipelines/linkage.py ``driver_edges``), then cluster
+assignment over the held edge table. At sf0.1 x replicate 8 the
+mentions are 13.7 MiB (82,105 rows); they explode to 410,525 key rows,
+818,240 candidate pairs and ~537.6k edges (12.5 MiB), so the headline
+takes the driver arms; mentions 2.4x that size take the dataset arms.
+The pairs are not bounded by the mention bytes, so the driver makes
+and scores them one chunk at a time and keeps only each chunk's
+edges: a chunk is one key-hash bucket of about ``PREP_BATCH`` (65,536)
+key rows (7 chunks of at most 123k pairs at sf0.1 x 8), and a block
+key emits at most 31.5 pairs per row (all pairs up to 64 rows, a star
++ chain above), so a chunk of ``PREP_BATCH`` rows holds at most ~2.1M
+pairs (~82 MB at 40 B per pair). A skewed bucket can hold more rows:
+salting splits only keys above ``salt_threshold``.
 Three near-dup operators take it too (functions/dedup.py): exact_dedup
 on its fingerprint table, and minhash_neardup / setsim_neardup on
 their shingle table (minhash then also on its band rows, 32 int64-keyed

@@ -445,6 +445,7 @@ def test_assign_clusters_bucket_min_oid_else_fold_key():
 
 
 _VOCAB = ("surface", "oid")
+_PAIRS = ("mention_id", "surface", "oid", "fold_key")
 _CENSUS = ("key", "mention_id")
 _EDGES = ("src", "dst")
 _MENTIONS = (
@@ -463,12 +464,8 @@ _MENTIONS = (
 @pytest.mark.parametrize(
     "case, want_arms, want_joins",
     [
-        (
-            "default",
-            [(_VOCAB, True), (_CENSUS, True), (_EDGES, True), (_MENTIONS, True)],
-            [],
-        ),
-        ("lp", [(_VOCAB, True), (_CENSUS, True)], ["mention_id"]),
+        ("default", [(_VOCAB, True), (_PAIRS, True), (_MENTIONS, True)], []),
+        ("lp", [(_VOCAB, True), (_PAIRS, True)], ["mention_id"]),
         (
             "checkpoint",
             [(_VOCAB, False), (_CENSUS, True), (_EDGES, False)],
@@ -477,11 +474,13 @@ _MENTIONS = (
     ],
 )
 def test_pass_arms(ray_session, monkeypatch, tmp_path, case, want_arms, want_joins):
-    """A small un-checkpointed pass takes every driver arm; 'lp' mode
-    keeps the label join; a checkpointed pass reads the mentions and the
-    scored pairs back lazily, so its vocabulary and clusters take the
-    dataset arms (the census still holds the exploded keys that pair
-    generation materializes)."""
+    """A small un-checkpointed pass takes every driver arm: pairs and
+    edges are made from the held mentions (the census counts the table
+    it explodes, and cluster_mentions gets the edges as a held table);
+    'lp' mode keeps the label join; a checkpointed pass reads the
+    mentions and the scored pairs back lazily, so its vocabulary and
+    clusters take the dataset arms (the census still holds the exploded
+    keys that pair generation materializes)."""
     from bern_ray.pipelines import linkage
     from bern_ray.stages import blocking, join, partitions
 
@@ -536,4 +535,183 @@ def test_salted_pass_is_the_same_in_both_arms(ray_session, monkeypatch):
         )
     assert len(census) == 2 and census[0] and census[0] == census[1]
     assert len(got[0]) > 0
+    assert got[0].equals(got[1])
+
+
+def _pass_edges(monkeypatch, **kwargs):
+    """A linkage pass over SF: its sorted (src, dst, score) edges, its
+    sorted (mention_id, cluster_id) rows and its counters."""
+    import pyarrow as pa
+
+    import ray.data
+
+    from bern_ray.pipelines import linkage
+    from bern_ray.state import counters
+
+    seen = []
+    real_cluster_mentions = linkage.cluster_mentions
+
+    def cluster_mentions(normalized, edges, **kw):
+        held = edges if isinstance(edges, pa.Table) else pa.concat_tables(
+            ray.get(edges.to_arrow_refs())
+        )
+        seen.append(held.select(["src", "dst", "score"]))
+        return real_cluster_mentions(normalized, edges, **kw)
+
+    monkeypatch.setattr(linkage, "cluster_mentions", cluster_mentions)
+    counters.reset()
+    clusters = linkage.linkage_pipeline(SF, **kwargs).to_pandas()
+    snap = counters.snapshot()
+    (edges,) = seen
+    edges = edges.sort_by(
+        [("src", "ascending"), ("dst", "ascending"), ("score", "ascending")]
+    )
+    clusters = (
+        clusters[["mention_id", "cluster_id"]]
+        .sort_values("mention_id")
+        .reset_index(drop=True)
+    )
+    return edges, clusters, snap
+
+
+@pytest.mark.parametrize("salt_threshold", [None, 20], ids=["plain", "salted"])
+def test_both_pair_arms_give_the_same_edges(
+    ray_session, monkeypatch, salt_threshold
+):
+    """Pairs and edges made on the driver from the held mentions equal
+    the pair-gen shuffle's and scorer's: the same edge rows (repeats
+    included) and clusters, at the default chunking and with 7-row
+    chunks, and the same cap counters. Salting takes its pivots per
+    block in the dataset arm and once over the table in the driver arm,
+    so a salted pass is held to equal clusters and hot-key counters."""
+    from bern_ray.stages import blocking, partitions
+
+    kwargs = {} if salt_threshold is None else {"salt_threshold": 20}
+    got = []
+    for bound, chunk in ((0, None), (1 << 40, None), (1 << 40, 7)):
+        monkeypatch.setattr(partitions, "DRIVER_BYTES", bound)
+        if chunk is not None:
+            monkeypatch.setattr(blocking, "PREP_BATCH", chunk)
+        got.append(_pass_edges(monkeypatch, **kwargs))
+    (e0, c0, s0) = got[0]
+    assert e0.num_rows > 0 and len(c0) > 0
+    for e, c, s in got[1:]:
+        assert c.equals(c0)
+        if salt_threshold is None:
+            assert e.equals(e0)
+            assert s == s0
+        else:
+            assert s["blocking_hot_keys_salted"] > 0
+            for name in ("blocking_hot_keys_salted", "blocking_hot_rows_salted"):
+                assert s[name] == s0[name]
+
+
+def test_small_pass_runs_one_execution(ray_session, monkeypatch):
+    """A warm default pass over SF starts one Ray Data execution (the
+    mentions) before its clusters exist: vocabulary, pairs, scoring and
+    clusters all run on the driver."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from bern_ray.pipelines.linkage import linkage_pipeline
+
+    linkage_pipeline(SF)
+    started = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, *args, **kwargs):
+        started.append(self)
+        return real_execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    clusters = linkage_pipeline(SF)
+    assert len(started) == 1
+    assert clusters.count() > 0
+
+
+def test_dedup_pairs_bucket_keeps_the_least_key():
+    """The pair-dedup kernel keeps one row per (a_mid, b_mid), the one
+    with the least key, as the pandas sort + drop_duplicates it replaced
+    did: on a hand-built bucket with tied keys, one pair under several
+    keys (negative and 62-bit ones), pairs sharing an a_mid and rows out
+    of order."""
+    import pyarrow as pa
+
+    from bern_ray.stages.blocking import _dedup_pairs_bucket
+
+    big = (1 << 62) + 5
+    t = pa.table(
+        {
+            "a_mid": pa.array([7, 3, 3, 7, 3, 3, 1, 7, 3], pa.int64()),
+            "b_mid": pa.array([9, 4, 4, 9, 5, 4, 2, 9, 4], pa.int64()),
+            "key": pa.array(
+                [big, 11, -4, 6, 2, 11, 0, -(1 << 40), -4], pa.int64()
+            ),
+        }
+    )
+    want = (
+        t.to_pandas()
+        .sort_values(["a_mid", "b_mid", "key"])
+        .drop_duplicates(["a_mid", "b_mid"])
+    )
+    got = _dedup_pairs_bucket(t)
+    assert got.to_pydict() == {
+        c: want[c].tolist() for c in ("a_mid", "b_mid", "key")
+    }
+    assert got.to_pydict() == {
+        "a_mid": [1, 3, 3, 7],
+        "b_mid": [2, 4, 5, 9],
+        "key": [0, -4, 2, -(1 << 40)],
+    }
+    assert got.schema == t.schema
+    assert _dedup_pairs_bucket(t.slice(0, 0)).num_rows == 0
+
+
+def test_both_incremental_arms_score_the_same_new_edges(
+    ray_session, monkeypatch
+):
+    """incremental_linkage's in-memory path makes the same edge union
+    (prior edges plus the new-touching ones) and clusters whether its
+    pairs are made on the driver or by the pair-gen shuffle."""
+    import pyarrow as pa
+
+    import ray.data
+
+    from bern_ray.pipelines import linkage
+    from bern_ray.sources.pages import pages_table
+    from bern_ray.stages import partitions
+    from bern_ray.stages.blocking import candidate_pairs
+
+    t = pages_table(SF)
+    prior_norm = linkage.extract_normalize_mentions(
+        ray.data.from_arrow(t.slice(0, 400))
+    ).materialize()
+    prior_scored = linkage.score_pairs(
+        candidate_pairs(prior_norm, dedup=False, with_attrs=True), None
+    ).materialize()
+    new_pages = ray.data.from_arrow(t.slice(400))
+    seen = []
+    real_cluster_mentions = linkage.cluster_mentions
+
+    def cluster_mentions(normalized, edges, **kw):
+        seen.append(
+            pa.concat_tables(ray.get(edges.to_arrow_refs())).sort_by(
+                [(c, "ascending") for c in ("src", "dst", "score")]
+            )
+        )
+        return real_cluster_mentions(normalized, edges, **kw)
+
+    monkeypatch.setattr(linkage, "cluster_mentions", cluster_mentions)
+    got = []
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(partitions, "DRIVER_BYTES", bound)
+        got.append(
+            linkage.incremental_linkage(prior_norm, prior_scored, new_pages)
+            .to_pandas()[["mention_id", "cluster_id"]]
+            .sort_values("mention_id")
+            .reset_index(drop=True)
+        )
+    assert seen[0].num_rows > prior_scored.to_pandas()["is_edge"].sum()
+    assert seen[0].equals(seen[1])
     assert got[0].equals(got[1])
